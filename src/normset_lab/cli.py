@@ -466,9 +466,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_elem(argv: list[str]) -> list[str]:
+    """Rewrite '--elem -3+2w' as '--elem=-3+2w': argparse reads a token with
+    a leading minus as an option, so the element would go missing.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--elem" and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] = f"--elem={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _glue_elem(sys.argv[1:] if argv is None else argv))
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,7 +9,8 @@ the class group, again exactly. For non-maximal orders Z[n*xi] with n >= 2
 a direct witness construction settles every case except (d, n) = (-3, 2),
 the one non-maximal half-factorial order; that case is certified by an
 exhaustive window check plus the unit-orbit argument recorded in the
-verdict's method field.
+verdict's method field, and the verdict is whatever that one window says.
+Window scans stream elements by size and stop at the first witness.
 
 classification_check() replays the whole table: the nine unit-class
 discriminants, the eighteen class-number-two discriminants, the (d, n) =
@@ -124,7 +125,9 @@ def order_hfd_witness(d: int, n: int) -> HfdVerdict:
     factors both through the conjugate pair (length 2) and through rational
     integers (length >= 3). For d = -3 the norm of n*xi is n^2, whose
     integer route is also length 2, so the construction is silent; n >= 3
-    falls back to the window scan, and n = 2 is the genuine exception.
+    falls back to the window scan, and n = 2 is the genuine exception, hfd
+    as long as its window of size 400 finds no witness. Raises
+    WitnessSearchExhausted when the construction yields no witness.
     """
     if d >= 0 or not is_squarefree(d):
         raise BadDiscriminant(f"d = {d} must be negative and squarefree")
@@ -133,8 +136,10 @@ def order_hfd_witness(d: int, n: int) -> HfdVerdict:
     order = order_of(d, n)
     if (d, n) == (-3, 2):
         chk = bounded_hfd_check(order, 400)
-        assert chk.holds, "window check contradicts the (d,n)=(-3,2) argument"
-        return HfdVerdict(order, "hfd", method="order_argument")
+        if chk.holds:
+            return HfdVerdict(order, "hfd", method="order_argument")
+        x, short, long_ = chk.witness
+        return HfdVerdict(order, "not_hfd", (short, long_), x, "direct_window")
 
     if d == -1:
         target = 2 * n * n  # N(n + ni)
@@ -155,13 +160,15 @@ def order_hfd_witness(d: int, n: int) -> HfdVerdict:
         x, short, long_ = hit
         return HfdVerdict(order, "not_hfd", (short, long_), x, "direct_window")
 
-    assert is_irreducible(w), f"{w} unexpectedly splits in {order}"
+    if not is_irreducible(w):
+        raise WitnessSearchExhausted(f"{w} unexpectedly splits in {order}")
     elem = canonical_associate(order.element(target, 0))
     facts = factor_element(order, elem)
     short = min(facts, key=len)
     long_ = max(facts, key=len)
-    assert short.length < long_.length, \
-        f"{elem} in {order} has single-length factorizations"
+    if short.length == long_.length:
+        raise WitnessSearchExhausted(
+            f"{elem} in {order} has single-length factorizations")
     return HfdVerdict(order, "not_hfd", (short, long_), elem, "order_argument")
 
 
@@ -228,9 +235,7 @@ def classification_check() -> ClassificationReport:
         rows.append(ClassificationRow(d, 1, "h=2", f"h={h}", h == 2))
 
     v = order_hfd_witness(-3, 2)
-    chk = bounded_hfd_check(order_of(-3, 2), 400)
-    rows.append(ClassificationRow(
-        -3, 2, "hfd", v.verdict, v.verdict == "hfd" and chk.holds))
+    rows.append(ClassificationRow(-3, 2, "hfd", v.verdict, v.verdict == "hfd", v.witness))
 
     for d in range(-1, -51, -1):
         if not is_squarefree(d):

@@ -251,9 +251,11 @@ class MonoidView:
     the magnitude windows are measured against; `key` is a total sort key.
     `proper_divisors(x)` yields (d, cofactor) pairs with both parts nonunit
     members; it must be finite and complete for every element it is asked
-    about. `divide(d, x)` returns the cofactor when d | x (a unit cofactor is
-    reported as the identity-marker None-cofactor convention is NOT used:
-    it returns the actual cofactor element, which may equal the identity).
+    about. `divide(d, x)` returns the cofactor when d | x and None otherwise;
+    a unit cofactor comes back as the identity element, not as None.
+    `elements_up_to(B)` returns an iterable, possibly lazy, of every member
+    of size <= B in the view's window order; window scans stop at their
+    first witness, so that order decides which witness they report.
     """
 
     name: str
@@ -263,7 +265,7 @@ class MonoidView:
     proper_divisors: Callable[[Any], Iterable[tuple]]
     key: Callable[[Any], Any]
     size: Callable[[Any], int]
-    elements_up_to: Callable[[int], list]
+    elements_up_to: Callable[[int], Iterable]
     generators: tuple = ()
     divides_hint: Optional[Callable[[Any, Any, Any], bool]] = None
     # divides_hint(q, a, b): False means q certainly does not divide op(a, b)
@@ -401,7 +403,7 @@ def is_hfm_window(view: MonoidView, bound: int, session: FactorSession | None = 
     its factorizations of one length.
     """
     session = session or FactorSession(view)
-    for x in _window_members(view, bound):
+    for x in view.elements_up_to(bound):
         facts = session.factorizations(x)
         lengths = sorted({f.length for f in facts})
         if len(lengths) > 1:
@@ -414,7 +416,7 @@ def is_hfm_window(view: MonoidView, bound: int, session: FactorSession | None = 
 def is_length_factorial_window(view: MonoidView, bound: int, session: FactorSession | None = None) -> WindowVerdict:
     """At most one factorization of each length, for every member in the window."""
     session = session or FactorSession(view)
-    for x in _window_members(view, bound):
+    for x in view.elements_up_to(bound):
         by_len: dict[int, FactorMultiset] = {}
         for f in session.factorizations(x):
             other = by_len.setdefault(f.length, f)

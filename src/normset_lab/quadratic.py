@@ -219,6 +219,7 @@ def divide_exact(x: QuadElem, y: QuadElem) -> QuadElem | None:
     return QuadElem(x.order, num.a // nm, num.b // nm)
 
 
+@lru_cache(maxsize=None)
 def units(order: QuadraticOrder) -> tuple[QuadElem, ...]:
     """The unit group; finite hence enumerable only for imaginary orders."""
     if not order.is_imaginary:
@@ -514,27 +515,31 @@ def _window_size(x: QuadElem) -> int:
 def element_monoid_view(order: QuadraticOrder) -> MonoidView:
     """MonoidView over canonical nonzero nonunits of an imaginary order.
 
-    The window `elements_up_to(B)` enumerates every canonical element with
-    2 <= |N(x)| <= B together with every rational integer 2 <= |m| <= B; the
-    integers carry the structural collisions (an integer can split into
-    conjugate non-rational factors whose norms are far below its own norm
-    m^2), so windows that skipped them would miss the earliest witnesses.
+    The window `elements_up_to(B)` streams, one window size s = 2, 3, ... at
+    a time, every canonical element with 2 <= |N(x)| <= B and every rational
+    integer 2 <= |m| <= B. The integers carry the structural collisions (an
+    integer can split into conjugate non-rational factors whose norms are far
+    below its own norm m^2), so windows that skipped them would miss the
+    earliest witnesses. The view solves each norm once and keeps its canonical
+    elements for both divisor enumeration and the window.
     """
     if not order.is_imaginary:
         raise ValueError("element factorization is imaginary-only")
+    by_norm: dict[int, list[QuadElem]] = {}
+
+    def of_norm(k):
+        hit = by_norm.get(k)
+        if hit is None:
+            hit = by_norm[k] = list(dict.fromkeys(
+                map(canonical_associate, elements_of_norm(order, k))))
+        return hit
 
     def proper_divisors(x):
         nm = x.norm()
-        seen = set()
         for k in divisors(nm):
             if k < 2 or k > nm // 2:
                 continue
-            for y in elements_of_norm(order, k):
-                cy = canonical_associate(y)
-                ky = (cy.a, cy.b)
-                if ky in seen:
-                    continue
-                seen.add(ky)
+            for cy in of_norm(k):
                 q = divide_exact(x, cy)
                 if q is not None and not q.is_unit():
                     yield cy, canonical_associate(q)
@@ -544,31 +549,12 @@ def element_monoid_view(order: QuadraticOrder) -> MonoidView:
         return None if q is None else canonical_associate(q)
 
     def elements_up_to(bound):
-        found: dict[tuple, QuadElem] = {}
-        d, n = order.d, order.n
-        dd = -d
-        if order.xi_kind == HALF_KIND:
-            bmax = isqrt(4 * bound // (dd * n * n)) + 1
-            for b in range(0, bmax + 1):
-                amax = isqrt(bound) + n * b + 2
-                for a in range(-amax, amax + 1):
-                    x = order.element(a, b)
-                    if 2 <= x.norm() <= bound:
-                        c = canonical_associate(x)
-                        found.setdefault((c.a, c.b), c)
-        else:
-            bmax = isqrt(bound // (dd * n * n)) + 1
-            for b in range(0, bmax + 1):
-                amax = isqrt(bound) + 1
-                for a in range(-amax, amax + 1):
-                    x = order.element(a, b)
-                    if 2 <= x.norm() <= bound:
-                        c = canonical_associate(x)
-                        found.setdefault((c.a, c.b), c)
-        for m in range(2, bound + 1):
-            c = canonical_associate(order.element(m, 0))
-            found.setdefault((c.a, c.b), c)
-        return sorted(found.values(), key=lambda x: (_window_size(x), _canonical_key(x)))
+        # window size s: the non-rational elements of norm s, then the
+        # integer s, whose key leads with N(s) = s^2 > s; s is its own
+        # canonical associate
+        for s in range(2, bound + 1):
+            yield from sorted((x for x in of_norm(s) if x.b), key=_canonical_key)
+            yield order.element(s, 0)
 
     return MonoidView(
         name=f"elements of {order}",

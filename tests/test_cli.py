@@ -94,6 +94,14 @@ def test_norm_subcommand(capsys):
     assert rec["order"] == "Z[sqrt(34)]"
 
 
+def test_norm_negative_leading_element(capsys):
+    # a leading minus must not be read as an option
+    code, out, err = run(capsys, "norm", "--d", "-5", "--elem", "-3+2w")
+    assert code == 0 and not err
+    assert "norm: 29" in out.splitlines()
+    assert run(capsys, "norm", "--d", "-5", "--elem=-3+2w") == (code, out, err)
+
+
 def test_normset_member(capsys):
     code, rec, _ = run_json(capsys, "normset", "member", "--d", "34",
                             "--value", "-9")

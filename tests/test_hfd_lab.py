@@ -18,7 +18,9 @@ from normset_lab import (
     order_hfd_witness,
     order_of,
 )
+from normset_lab import hfd_lab
 from normset_lab.hfd_lab import HFD_DS, UFD_DS
+from normset_lab.monoid_core import FactorMultiset, WindowVerdict
 from normset_lab.quadratic import canonical_associate
 
 
@@ -129,6 +131,29 @@ def test_order_witness_d_minus_3_window():
     assert (short.length, long_.length) == (2, 3)
     assert sorted(str(a) for a in short) == ["-6+1*w", "3+1*w"]
     assert _remultiplies(v)
+
+
+def test_order_witness_exception_pair_reports_failed_window(monkeypatch):
+    x = order_of(-3, 2).element(4, 0)
+    short, long_ = FactorMultiset((x,)), FactorMultiset((x, x))
+    monkeypatch.setattr(hfd_lab, "bounded_hfd_check",
+                        lambda order, B: WindowVerdict(False, B, (x, short, long_)))
+    v = order_hfd_witness(-3, 2)
+    assert v.verdict == "not_hfd" and v.method == "direct_window"
+    assert v.element == x and v.witness == (short, long_)
+
+
+def test_order_witness_split_generator_raises(monkeypatch):
+    monkeypatch.setattr(hfd_lab, "is_irreducible", lambda x: False)
+    with pytest.raises(WitnessSearchExhausted):
+        order_hfd_witness(-1, 2)
+
+
+def test_order_witness_single_length_raises(monkeypatch):
+    monkeypatch.setattr(hfd_lab, "factor_element",
+                        lambda order, x: (FactorMultiset((x,)),))
+    with pytest.raises(WitnessSearchExhausted):
+        order_hfd_witness(-7, 2)
 
 
 def test_order_witness_validation():

@@ -1,8 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from math import isqrt
+
 from normset_lab.errors import BadDiscriminant, NeedsBound
-from normset_lab.quadratic import (canonical_associate, divide_exact,
+from normset_lab.quadratic import (HALF_KIND, _canonical_key, _window_size,
+                                   canonical_associate, divide_exact,
                                    element_monoid_view, elements_of_norm,
                                    exact_real_search_bound, factor_element,
                                    fundamental_unit, is_irreducible,
@@ -257,8 +260,47 @@ def test_parse_element_round_trip():
 def test_element_window_includes_integers_by_magnitude():
     # rational integers are windowed by |m|, other elements by |norm|
     view = element_monoid_view(order_of(-14))
-    window = view.elements_up_to(20)
+    window = list(view.elements_up_to(20))
     assert any(x.b == 0 and x.a == 4 for x in window)      # N(4) = 16 > 20
     assert any(abs(x.norm()) == 15 and x.b != 0 for x in window)
     assert all(abs(x.a) <= 20 if x.b == 0 else abs(x.norm()) <= 20
                for x in window)
+
+
+def _scanned_window(order, bound):
+    """The element window by a full (a, b) scan: every canonical element of
+    norm 2..bound and every rational integer 2..bound, sorted by window size
+    and then by canonical key.
+    """
+    found = {}
+    d, n = order.d, order.n
+    dd = -d
+    if order.xi_kind == HALF_KIND:
+        bmax = isqrt(4 * bound // (dd * n * n)) + 1
+        reach = lambda b: isqrt(bound) + n * b + 2
+    else:
+        bmax = isqrt(bound // (dd * n * n)) + 1
+        reach = lambda b: isqrt(bound) + 1
+    for b in range(0, bmax + 1):
+        for a in range(-reach(b), reach(b) + 1):
+            x = order.element(a, b)
+            if 2 <= x.norm() <= bound:
+                c = canonical_associate(x)
+                found.setdefault((c.a, c.b), c)
+    for m in range(2, bound + 1):
+        c = canonical_associate(order.element(m, 0))
+        found.setdefault((c.a, c.b), c)
+    return sorted(found.values(), key=lambda x: (_window_size(x), _canonical_key(x)))
+
+
+@pytest.mark.parametrize("d,n", [(-1, 1), (-3, 1), (-5, 1), (-14, 1), (-23, 1),
+                                 (-1, 2), (-3, 2), (-3, 3), (-7, 2), (-11, 3)])
+def test_streamed_window_matches_full_scan(d, n):
+    order = order_of(d, n)
+    assert list(element_monoid_view(order).elements_up_to(300)) == _scanned_window(order, 300)
+
+
+def test_streamed_window_is_lazy():
+    view = element_monoid_view(order_of(-5))
+    first = next(iter(view.elements_up_to(10**9)))
+    assert (first.a, first.b) == (2, 0)
