@@ -47,6 +47,7 @@ from .quadratic import (
     elements_of_norm,
     exact_real_search_bound,
     order_fundamental_unit,
+    real_norm_table,
 )
 
 _POLICIES = ("auto", "form_search", "ideal_theoretic", "both")
@@ -102,8 +103,13 @@ class NormsetHandle:
     auto routes imaginary orders and non-maximal real orders to the element
     search and maximal real orders to the ideal-theoretic path;
     "both" runs the two backends side by side and hard-asserts agreement.
-    The handle is immutable apart from its verdict memo; concurrent queries
-    at worst recompute a cached entry.
+
+    Besides its verdict memo, a handle on a real order holds a norm table
+    (quadratic.real_norm_table): members_up_to(B) fills it for every
+    2 <= |m| <= B with one domain sweep, and every element search that would
+    run at the exact bound for such an m reads the table instead, with the
+    same verdict. Both are caches only; concurrent queries at worst
+    recompute an entry.
     """
 
     def __init__(self, order: QuadraticOrder, policy: str = "auto",
@@ -114,6 +120,8 @@ class NormsetHandle:
         self.policy = policy
         self.default_bound = default_bound
         self._verdicts: dict = {}
+        self._norms: dict[int, QuadElem] = {}
+        self._norms_bound = 1  # the table covers 2 <= |m| <= this
 
     # -- membership ---------------------------------------------------
 
@@ -132,16 +140,17 @@ class NormsetHandle:
         if abs(m) == 1:
             return _unit_verdict(order, m)
         policy = self.policy
+        table = self._norms if abs(m) <= self._norms_bound else None
         if policy == "auto":
             policy = ("ideal_theoretic"
                       if (not order.is_imaginary and order.is_maximal)
                       else "form_search")
         if policy == "form_search":
-            return _form_search_contains(order, m, bound)
+            return _form_search_contains(order, m, bound, table)
         if policy == "ideal_theoretic":
-            return _ideal_contains(order, m)
-        v1 = _form_search_contains(order, m, bound)
-        v2 = _ideal_contains(order, m)
+            return _ideal_contains(order, m, bound, table)
+        v1 = _form_search_contains(order, m, bound, table)
+        v2 = _ideal_contains(order, m, bound, table)
         if v1.answer != "unknown" and v1.answer != v2.answer:
             raise AssertionError(
                 f"backend disagreement at m={m} in {self}: "
@@ -154,8 +163,15 @@ class NormsetHandle:
     def members_up_to(self, size_bound: int) -> list[int]:
         """Members m with 2 <= |m| <= size_bound, ascending by |m| with the
         positive sign first. Unit members (+-1) are excluded.
+
+        On a real order whose exact search bound at size_bound stays under
+        the ceiling, one sweep first fills the norm table up to size_bound.
         """
         neg = not self.order.is_imaginary
+        if (neg and size_bound > self._norms_bound
+                and exact_real_search_bound(self.order, size_bound) <= _REAL_SEARCH_CEILING):
+            self._norms = real_norm_table(self.order, size_bound)
+            self._norms_bound = size_bound
         out = []
         for k in range(2, size_bound + 1):
             for m in ((k, -k) if neg else (k,)):
@@ -184,32 +200,43 @@ def _unit_verdict(order: QuadraticOrder, m: int) -> Verdict:
     return Verdict("no", None, None, "units", m)
 
 
-def _form_search_contains(order: QuadraticOrder, m: int,
-                          bound: int | None) -> Verdict:
+def _real_search(order: QuadraticOrder, m: int, bound: int | None,
+                 table: dict | None) -> tuple[list[QuadElem], int, int]:
+    """The real element search under the bound rule, as (solutions, bound
+    used, exact bound). No bound means the exact bound, refused with
+    NeedsBound above the ceiling; a bound searches up to the exact bound at
+    most. At the exact bound a norm table covering m answers instead.
+    """
+    exact_b = exact_real_search_bound(order, m)
+    if bound is None and exact_b > _REAL_SEARCH_CEILING:
+        raise NeedsBound(
+            f"exact search for norm {m} in {order} needs |b| <= {exact_b}; "
+            f"pass an explicit bound")
+    sb = exact_b if bound is None else min(bound, exact_b)
+    if table is not None and sb == exact_b:
+        hit = table.get(m)
+        return ([] if hit is None else [hit]), sb, exact_b
+    return elements_of_norm(order, m, search_bound=sb), sb, exact_b
+
+
+def _form_search_contains(order: QuadraticOrder, m: int, bound: int | None,
+                          table: dict | None) -> Verdict:
     if order.is_imaginary:
         sols = elements_of_norm(order, m)
         if sols:
             return Verdict("yes", canonical_associate(sols[0]), None,
                            "form_search", m)
         return Verdict("no", None, None, "form_search", m)
-    exact_b = exact_real_search_bound(order, m)
-    if bound is None:
-        if exact_b > _REAL_SEARCH_CEILING:
-            raise NeedsBound(
-                f"exact search for norm {m} in {order} needs |b| <= {exact_b}; "
-                f"pass an explicit bound")
-        sb = exact_b
-    else:
-        sb = min(bound, exact_b)
-    sols = elements_of_norm(order, m, search_bound=sb)
+    sols, sb, exact_b = _real_search(order, m, bound, table)
     if sols:
         return Verdict("yes", sols[0], sb, "form_search", m)
-    if sols.exact:
+    if sb == exact_b:
         return Verdict("no", None, sb, "form_search", m)
     return Verdict("unknown", None, sb, "form_search", m)
 
 
-def _ideal_contains(order: QuadraticOrder, m: int) -> Verdict:
+def _ideal_contains(order: QuadraticOrder, m: int, bound: int | None,
+                    table: dict | None) -> Verdict:
     if not order.is_maximal:
         raise ValueError("the ideal-theoretic backend needs a maximal order")
     D = order.discriminant
@@ -220,26 +247,33 @@ def _ideal_contains(order: QuadraticOrder, m: int) -> Verdict:
         opts = ideal_class_options(cg, m)
         if opts is None or cg.identity_index not in opts:
             return Verdict("no", None, None, "ideal_theoretic", m)
-        wit = _element_witness(order, m)
+        wit = _element_witness(order, m, bound, table)
         return Verdict("yes", wit, None, "ideal_theoretic", m)
     nar = narrow_class_group_real(D)
     opts = ideal_class_options(nar, abs(m))
     target = nar.identity_index if m > 0 else nar.neg_principal_index
     if opts is None or target not in opts:
         return Verdict("no", None, None, "ideal_theoretic", m)
-    wit = _element_witness(order, m)
+    wit = _element_witness(order, m, bound, table)
     return Verdict("yes", wit, None, "ideal_theoretic", m)
 
 
-def _element_witness(order: QuadraticOrder, m: int) -> QuadElem:
+def _element_witness(order: QuadraticOrder, m: int, bound: int | None,
+                     table: dict | None) -> QuadElem:
     """Fetch an element of norm m after the ideal backend certified one
-    exists; the exact-bounded search must then find it.
+    exists. Real orders follow the bound rule of the element search
+    (_real_search); a bound below the exact one that finds nothing raises
+    NeedsBound, since a "yes" must carry its witness. At the exact bound the
+    search must find one.
     """
     if order.is_imaginary:
         sols = elements_of_norm(order, m)
         return canonical_associate(sols[0])
-    sols = elements_of_norm(order, m,
-                            search_bound=exact_real_search_bound(order, m))
+    sols, sb, exact_b = _real_search(order, m, bound, table)
+    if not sols and sb < exact_b:
+        raise NeedsBound(
+            f"norm {m} in {order} has an element but none with |b| <= {sb}; "
+            f"the exact search needs |b| <= {exact_b}")
     if not sols:
         raise AssertionError(
             f"ideal backend certified norm {m} in {order} but the exact "

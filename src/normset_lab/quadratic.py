@@ -16,8 +16,11 @@ multiplicativity property tests.
 Everything is exact integer arithmetic; there is not a float in sight.
 Element factorization enumerates divisors through elements_of_norm and is
 offered for imaginary orders only, where the unit group is finite. Real
-orders get elements_of_norm with unit reduction and fundamental units via
-the continued fraction of sqrt(d).
+orders get elements_of_norm with unit reduction, and fundamental units via
+the continued fraction of sqrt(d) (d = 2, 3 mod 4) or of (1 + sqrt(d))/2
+(d = 1 mod 4). Real norm searches at the exact bound, and the window table
+of real_norm_table, walk only the integer fundamental domain of
+canonical_associate, so they test signs instead of sliding by units.
 """
 
 from __future__ import annotations
@@ -240,48 +243,43 @@ def units(order: QuadraticOrder) -> tuple[QuadElem, ...]:
 # continued fractions and units of real orders
 
 
-def pell_cf(d: int) -> tuple[int, int, int]:
-    """Fundamental solution of x^2 - d y^2 = +-1 with d > 1 nonsquare, via the
-    continued fraction of sqrt(d). Returns (x, y, norm_sign).
+def _cf_unit(d: int, P: int, Q: int) -> tuple[int, int]:
+    """Walk the continued fraction of (P + sqrt(d))/Q, Q | d - P^2, to the
+    first later complete quotient (P' + sqrt(d))/Q with the starting Q again.
+    With A/B the convergent before it, returns (x, y) = (Q*A - P*B, B),
+    which solves x^2 - d*y^2 = +-Q^2 with the least y > 0.
     """
-    a0 = isqrt(d)
-    if a0 * a0 == d:
-        raise BadDiscriminant(f"{d} is a perfect square")
-    p_prev, p = 1, a0
-    q_prev, q = 0, 1
-    P, Q, a = 0, 1, a0
-    i = 0
+    r = isqrt(d)
+    P0, Q0 = P, Q
+    A_prev, A = 0, 1
+    B_prev, B = 1, 0
     while True:
-        i += 1
+        a = (P + r) // Q
+        A_prev, A = A, a * A + A_prev
+        B_prev, B = B, a * B + B_prev
         P = a * Q - P
         Q = (d - P * P) // Q
-        a = (a0 + P) // Q
-        if Q == 1:
-            return p, q, (-1) ** i
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
+        if Q == Q0:
+            return Q0 * A - P0 * B, B
 
 
 @lru_cache(maxsize=None)
 def fundamental_unit(d: int) -> tuple[QuadElem, int]:
     """Smallest unit > 1 of the maximal order of Q(sqrt(d)), d > 1 squarefree,
-    with its norm sign.
+    with its norm sign. It comes from the continued fraction of sqrt(d) for
+    d = 2, 3 (mod 4) and of (1 + sqrt(d))/2 for d = 1 (mod 4), where the
+    period yields the least t^2 - d*u^2 = +-4.
     """
     if d <= 1:
         raise BadDiscriminant("fundamental units live in real fields")
     order = order_of(d, 1)
-    x1, y1, sign1 = pell_cf(d)
     if d % 4 != 1:
-        return order.element(x1, y1), sign1
-    # d = 1 mod 4: minimal t^2 - d u^2 = +-4, scanning u below the Pell bound;
-    # (2 x1, 2 y1) is always a solution, so the scan terminates.
-    for u in range(1, 2 * y1 + 1):
-        for target in (-4, 4):
-            t2 = d * u * u + target
-            if t2 > 0 and is_square(t2):
-                t = isqrt(t2)
-                return order.element((t - u) // 2, u), target // 4
-    raise AssertionError("Pell scan cannot fail below 2*y1")
+        x, y = _cf_unit(d, 0, 1)
+        eps = order.element(x, y)
+    else:
+        t, u = _cf_unit(d, 1, 2)
+        eps = order.element((t - u) // 2, u)
+    return eps, eps.norm()
 
 
 @lru_cache(maxsize=None)
@@ -361,9 +359,8 @@ def canonical_associate(x: QuadElem, same_norm: bool = False) -> QuadElem:
             (u * x for u in units(order)),
             key=lambda y: (y.b < 0, y.a < 0, abs(y.b), abs(y.a)),
         )
-    u = norm_plus_unit(order) if same_norm else order_fundamental_unit(order)[0]
-    u_inv = divide_exact(order.one(), u)
-    assert u_inv is not None
+    u, sign = (norm_plus_unit(order), 1) if same_norm else order_fundamental_unit(order)
+    u_inv = u.conj() if sign == 1 else -u.conj()  # u^-1 = N(u) * conj(u)
     if _emb_sign(order, x) < 0:
         x = -x
     m = abs(x.norm())
@@ -411,70 +408,106 @@ def exact_real_search_bound(order: QuadraticOrder, m: int) -> int:
     return isqrt(num // den + 1) + 2
 
 
+def _sol_key(x: QuadElem) -> tuple:
+    return (abs(x.a), abs(x.b), x.a < 0, x.b < 0)
+
+
+def _norm_solutions(order: QuadraticOrder, m: int, bmax: int) -> list[QuadElem]:
+    """Every element a + b*w of norm m with |b| <= bmax, unreduced: the roots
+    t of t^2 = k*m + d*(n*b)^2, where t = a and k = 1 for the sqrt kind and
+    t = 2a + n*b and k = 4 for the half kind. In the half kind d = 1 (mod 4)
+    forces t = n*b (mod 2), so every root gives an element.
+    """
+    half = order.xi_kind == HALF_KIND
+    k = 4 if half else 1
+    n = order.n
+    dn2 = order.d * n * n
+    out = []
+    for b in range(-bmax, bmax + 1):
+        t2 = k * m + dn2 * b * b
+        if is_square(t2):
+            t = isqrt(t2)
+            for tt in {t, -t}:
+                out.append(QuadElem(order, (tt - n * b) // 2 if half else tt, b))
+    return out
+
+
+def _real_domain_scan(order: QuadraticOrder, lo: int, hi: int, b_max: int):
+    """Yield (N(x), x) for every element x = a + b*w of the real order with
+    lo <= N(x) <= hi and 0 <= b <= b_max that lies in the fundamental domain
+    of canonical_associate(., same_norm=True): positive embedding in
+    [sqrt|N|, sqrt|N| * u), u = norm_plus_unit(order).
+
+    Write emb(x) = (t + s*sqrt(d))/c with s = n*b (c = 1 for the sqrt kind,
+    2 for the half kind), and let (P, Q) be a positive multiple of that pair
+    for u. Then emb(x) >= sqrt|N| iff t >= 0 and s >= 0, and
+    emb(x) < sqrt|N| * u iff y = x * conj(u) fails that test, i.e.
+    t*P < d*s*Q or s*P < t*Q. So one pass over b walks only the t with
+    t^2 - d*s^2 in [k*lo, k*hi], k = c^2, and keeps the canonical ones by
+    integer sign tests.
+    """
+    d, n = order.d, order.n
+    half = order.xi_kind == HALF_KIND
+    k, step = (4, 2) if half else (1, 1)
+    P, Q = _emb_coords(order, norm_plus_unit(order))
+    for b in range(b_max + 1):
+        s = n * b
+        base = d * s * s
+        low = base + k * lo
+        t = isqrt(low - 1) + 1 if low > 0 else 0
+        if (t - s) % step:
+            t += 1
+        top = base + k * hi
+        while t * t <= top:
+            if t * P < d * s * Q or s * P < t * Q:
+                yield (t * t - base) // k, QuadElem(order, (t - s) // 2 if half else t, b)
+            t += step
+
+
+def real_norm_table(order: QuadraticOrder, bound: int) -> dict[int, QuadElem]:
+    """{m: least canonical same-norm element of norm m} over every norm
+    2 <= |m| <= bound of the real order, from one domain sweep up to
+    exact_real_search_bound(order, bound). Each entry is the first solution
+    elements_of_norm returns at the exact bound; norms absent from the
+    table are not norms.
+    """
+    table: dict[int, QuadElem] = {}
+    b_max = exact_real_search_bound(order, bound)
+    for m, x in _real_domain_scan(order, -bound, bound, b_max):
+        if abs(m) >= 2 and (m not in table or _sol_key(x) < _sol_key(table[m])):
+            table[m] = x
+    return table
+
+
 def elements_of_norm(order: QuadraticOrder, m: int, search_bound: int | None = None) -> NormSolutions:
     """All order elements of norm m.
 
     Imaginary: complete list of every (a, b) solution, exact.
     Real: requires a search bound on |b|; solutions are reduced modulo the
     norm-+1 unit subgroup to canonical same-norm associates, and the result
-    is flagged exact when the bound covers the unit-reduction bound.
+    is flagged exact when the bound covers the unit-reduction bound. An
+    exact search walks only the fundamental domain (_real_domain_scan); a
+    shorter bound canonicalizes every solution with |b| within it.
     """
     if m == 0:
         raise ValueError("norm 0 only for the zero element")
-    d, n = order.d, order.n
-    half = order.xi_kind == HALF_KIND
-    out: list[QuadElem] = []
     if order.is_imaginary:
-        if m > 0:
-            dd = -d
-            if half:
-                # 4m = (2a + nb)^2 + |d| n^2 b^2
-                bmax = isqrt(4 * m // (dd * n * n))
-                for b in range(-bmax, bmax + 1):
-                    t2 = 4 * m - dd * n * n * b * b
-                    if t2 < 0 or not is_square(t2):
-                        continue
-                    t = isqrt(t2)
-                    for tt in ({t, -t}):
-                        if (tt - n * b) % 2 == 0:
-                            out.append(order.element((tt - n * b) // 2, b))
-            else:
-                bmax = isqrt(m // (dd * n * n))
-                for b in range(-bmax, bmax + 1):
-                    t2 = m - dd * n * n * b * b
-                    if not is_square(t2):
-                        continue
-                    t = isqrt(t2)
-                    for tt in ({t, -t}):
-                        out.append(order.element(tt, b))
-        sols = sorted(set(out), key=lambda x: (abs(x.a), abs(x.b), x.a < 0, x.b < 0))
-        return NormSolutions(sols, exact=True)
-
+        if m < 0:
+            return NormSolutions([], exact=True)
+        k = 4 if order.xi_kind == HALF_KIND else 1
+        bmax = isqrt(k * m // (-order.d * order.n * order.n))
+        return NormSolutions(sorted(_norm_solutions(order, m, bmax), key=_sol_key),
+                             exact=True)
     if search_bound is None:
         raise NeedsBound(f"norm search in real order {order} needs a b-coordinate bound")
-    seen: dict[tuple[int, int], QuadElem] = {}
-    for b in range(-search_bound, search_bound + 1):
-        if half:
-            t2 = 4 * m + d * n * n * b * b
-            if t2 < 0 or not is_square(t2):
-                continue
-            t = isqrt(t2)
-            for tt in ({t, -t}):
-                if (tt - n * b) % 2 == 0:
-                    cand = canonical_associate(order.element((tt - n * b) // 2, b),
-                                               same_norm=True)
-                    seen.setdefault((cand.a, cand.b), cand)
-        else:
-            t2 = m + d * n * n * b * b
-            if t2 < 0 or not is_square(t2):
-                continue
-            t = isqrt(t2)
-            for tt in ({t, -t}):
-                cand = canonical_associate(order.element(tt, b), same_norm=True)
-                seen.setdefault((cand.a, cand.b), cand)
-    exact = search_bound >= exact_real_search_bound(order, m)
-    sols = sorted(seen.values(), key=lambda x: (abs(x.a), abs(x.b), x.a < 0, x.b < 0))
-    return NormSolutions(sols, exact=exact)
+    exact_b = exact_real_search_bound(order, m)
+    if search_bound >= exact_b:
+        sols = [x for _, x in _real_domain_scan(order, m, m, exact_b)]
+    else:
+        sols = list(dict.fromkeys(
+            canonical_associate(x, same_norm=True)
+            for x in _norm_solutions(order, m, search_bound)))
+    return NormSolutions(sorted(sols, key=_sol_key), exact=search_bound >= exact_b)
 
 
 # ---------------------------------------------------------------------------

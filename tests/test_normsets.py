@@ -6,6 +6,8 @@ where both are exact; the class-number table provides an independent route
 to every is_ufd verdict.
 """
 
+import time
+
 import pytest
 
 from normset_lab import (
@@ -24,6 +26,7 @@ from normset_lab import (
     order_of,
     strong_saturation_check,
 )
+from normset_lab.normsets import Verdict
 from normset_lab.quadratic import exact_real_search_bound
 
 
@@ -108,6 +111,57 @@ def test_huge_norm_needs_explicit_bound():
     ns = NormsetHandle(order, policy="form_search")
     with pytest.raises(NeedsBound):
         ns.contains(m)
+
+
+def test_ideal_witness_follows_the_bound_rule():
+    # Z[(1+sqrt 97)/2]: 2 is a norm, but the exact search for it needs
+    # |b| <= 18,176,283, above the ceiling; it used to scan all of that
+    start = time.perf_counter()
+    ns = normset_of(order_of(97))
+    with pytest.raises(NeedsBound, match="18176283"):
+        ns.contains(2)
+    # a short explicit bound searches that far and either finds a witness...
+    v = ns.contains(2, bound=7)
+    assert v.answer == "yes" and v.witness.norm() == 2
+    # ...or refuses, naming the exact bound, since a "yes" needs its witness
+    with pytest.raises(NeedsBound, match="18176283"):
+        ns.contains(2, bound=6)
+    with pytest.raises(NeedsBound, match="229686267"):
+        normset_of(order_of(166)).contains(3)
+    assert time.perf_counter() - start < 1
+
+
+def test_ideal_witness_at_or_above_exact_bound_is_unchanged():
+    order = order_of(34)
+    for m in (2, -9, -18, 30, -25, 3):
+        exact_b = exact_real_search_bound(order, m)
+        plain = normset_of(order).contains(m)
+        for bound in (exact_b, exact_b + 100):
+            assert normset_of(order).contains(m, bound) == Verdict(
+                plain.answer, plain.witness, None, "ideal_theoretic", m)
+
+
+@pytest.mark.parametrize("policy,orders", [
+    ("auto", [(2, 1), (5, 1), (10, 1), (13, 1), (34, 1), (155, 1)]),
+    ("form_search", [(2, 1), (10, 1), (13, 1), (2, 2), (3, 2), (5, 2), (5, 3)]),
+    ("both", [(2, 1), (5, 1), (10, 1), (34, 1)]),
+])
+def test_norm_table_verdicts_equal_fresh_handle(policy, orders):
+    for d, n in orders:
+        order = order_of(d, n)
+        ns = NormsetHandle(order, policy=policy)
+        ns.members_up_to(120)
+        assert ns._norms_bound == 120
+        for m in (7, -7, 2, -119, 120):
+            exact_b = exact_real_search_bound(order, m)
+            for bound in (1, exact_b, exact_b + 3):
+                try:
+                    ns.contains(m, bound)
+                except NeedsBound:
+                    pass
+        assert ns._verdicts
+        for (m, bound), v in ns._verdicts.items():
+            assert NormsetHandle(order, policy=policy).contains(m, bound) == v, (d, n, m, bound)
 
 
 def test_verdict_record_shape():

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from math import isqrt
 
+from normset_lab.arith import is_square, is_squarefree
 from normset_lab.errors import BadDiscriminant, NeedsBound
 from normset_lab.quadratic import (HALF_KIND, _canonical_key, _window_size,
                                    canonical_associate, divide_exact,
@@ -10,7 +11,8 @@ from normset_lab.quadratic import (HALF_KIND, _canonical_key, _window_size,
                                    exact_real_search_bound, factor_element,
                                    fundamental_unit, is_irreducible,
                                    norm_plus_unit, order_fundamental_unit,
-                                   order_of, parse_element, units)
+                                   order_of, parse_element, real_norm_table,
+                                   units)
 
 ORDERS = [order_of(-1), order_of(-3), order_of(-7), order_of(-10),
           order_of(-14), order_of(-3, 2), order_of(-2, 3), order_of(-1, 2),
@@ -86,6 +88,43 @@ def test_fundamental_units_pell_fixtures():
     for d in (2, 3, 5, 7, 10, 13, 34, 94):
         eps, sign = fundamental_unit(d)
         assert eps.norm() == sign
+
+
+def _scanned_unit(d, cap):
+    """The least t^2 - d*u^2 = +-4 with 0 < u <= cap by a linear scan over u,
+    as (a, b, sign) of (t + u*sqrt(d))/2 = a + b*w; None when u exceeds cap.
+    """
+    for u in range(1, cap + 1):
+        for target in (-4, 4):
+            t2 = d * u * u + target
+            if is_square(t2):
+                return (isqrt(t2) - u) // 2, u, target // 4
+    return None
+
+
+def test_fundamental_unit_matches_scan_for_half_kind():
+    # the linear scan is the oracle wherever it ends below the cap; above it
+    # the scan still proves no smaller solution exists
+    cap = 20000
+    for d in range(5, 600, 4):
+        if not is_squarefree(d):
+            continue
+        eps, sign = fundamental_unit(d)
+        t, u = 2 * eps.a + eps.b, eps.b
+        assert t > 0 and u > 0 and t * t - d * u * u == 4 * sign, d
+        assert eps.norm() == sign
+        scanned = _scanned_unit(d, cap)
+        if scanned is None:
+            assert u > cap, d
+        else:
+            assert (eps.a, eps.b, sign) == scanned, d
+
+
+def test_fundamental_unit_large_period():
+    # the old linear scan needed seconds here; y1 = 2683493
+    eps, sign = fundamental_unit(1021)
+    assert (eps.a, eps.b, sign) == (41531201, 2683493, -1)
+    assert eps.norm() == sign
 
 
 def test_order_fundamental_unit_conductor():
@@ -173,6 +212,67 @@ def test_elements_of_norm_real_witnesses():
     # 3 is not a norm of Z[sqrt 34]: x^2 = 3 mod 17 has no solution
     sols = elements_of_norm(o, 3, exact_real_search_bound(o, 3))
     assert sols == [] and sols.exact
+
+
+def _canonicalizing_scan(order, m, bound):
+    """The real norm search by sliding: every solution with |b| <= bound,
+    canonicalized to its same-norm associate, deduplicated and sorted.
+    """
+    d, n = order.d, order.n
+    seen = {}
+    half = order.xi_kind == HALF_KIND
+    for b in range(-bound, bound + 1):
+        t2 = (4 * m if half else m) + d * n * n * b * b
+        if not is_square(t2):
+            continue
+        for t in {isqrt(t2), -isqrt(t2)}:
+            if half and (t - n * b) % 2:
+                continue
+            a = (t - n * b) // 2 if half else t
+            c = canonical_associate(order.element(a, b), same_norm=True)
+            seen.setdefault((c.a, c.b), c)
+    return sorted(seen.values(), key=lambda x: (abs(x.a), abs(x.b), x.a < 0, x.b < 0))
+
+
+# both kinds, n = 1, 2, 3; the (d, n) marked -1 have a unit of norm -1
+REAL_TABLE_ORDERS = [
+    (2, 1), (3, 1), (6, 1), (10, 1), (15, 1), (34, 1), (35, 1),     # 2, 10: -1
+    (2, 2), (3, 2), (6, 2), (10, 2), (14, 2),
+    (2, 3), (7, 3), (10, 3), (11, 3),
+    (5, 1), (13, 1), (21, 1), (29, 1), (53, 1),                     # 5, 13, 29, 53: -1
+    (5, 2), (17, 2), (33, 2),                                       # 5, 17: -1
+    (5, 3), (13, 3), (21, 3),
+]
+
+
+@pytest.mark.parametrize("d,n", REAL_TABLE_ORDERS)
+def test_real_norm_table_matches_canonicalizing_scan(d, n):
+    order = order_of(d, n)
+    table = real_norm_table(order, 100)
+    assert all(2 <= abs(m) <= 100 for m in table)
+    for m in (s * k for k in range(2, 101) for s in (1, -1)):
+        exact_b = exact_real_search_bound(order, m)
+        oracle = _canonicalizing_scan(order, m, exact_b)
+        sols = elements_of_norm(order, m, exact_b)
+        assert sols.exact and sols == oracle, m
+        assert table.get(m) == (oracle[0] if oracle else None), m
+
+
+def test_real_table_orders_cover_kinds_and_unit_signs():
+    seen = {(order_of(d, n).xi_kind, n, order_fundamental_unit(order_of(d, n))[1])
+            for d, n in REAL_TABLE_ORDERS}
+    assert {(k, n) for k, n, _ in seen} == {(k, n) for k in (HALF_KIND, "sqrt_d")
+                                            for n in (1, 2, 3)}
+    assert {s for _, _, s in seen} == {1, -1}
+
+
+def test_short_bound_search_keeps_canonicalizing_scan():
+    o = order_of(10)
+    for m in (-100, 6, -6, 15):
+        exact_b = exact_real_search_bound(o, m)
+        for sb in (1, 3, exact_b // 2):
+            sols = elements_of_norm(o, m, sb)
+            assert not sols.exact and sols == _canonicalizing_scan(o, m, sb)
 
 
 def test_exact_real_bound_is_saturating():
