@@ -49,11 +49,10 @@ from .valnet_sim import (DivisorCount, EpsVal, IndexSet, MaxSupport, NetMonoid,
                          find_atomic_factorization, finite_cover_check,
                          finite_indices, ffd_window, generated_monoid,
                          ideal_norm, ideal_norm_product_check,
-                         idempotent_cover_check, inf_S_b, is_bounded,
-                         is_uniformly_bounded, length, load_net_monoid,
-                         make_net, max_of, monoid_divisors, net_add,
-                         net_factorizations, net_leq, net_lt, net_sub,
-                         omega_indices, omega_net, parse_net, parse_value,
-                         q_net, sequence_domain, zero_net)
+                         idempotent_cover_check, inf_S_b, length,
+                         load_net_monoid, make_net, max_of, monoid_divisors,
+                         net_add, net_factorizations, net_leq, net_lt,
+                         net_sub, omega_indices, omega_net, parse_net,
+                         parse_value, q_net, sequence_domain, zero_net)
 
 __version__ = "0.1.0"

@@ -27,12 +27,15 @@ discrete value group (eps ~ 1).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, inf
+from itertools import compress, islice
+from math import ceil, floor, inf, lcm, prod
+from operator import add, le, sub
 from typing import Any, Iterable
 
-from .errors import DepthExhausted, IndexMismatch
+from .errors import CapExceeded, DepthExhausted, IndexMismatch
 from .monoid_core import FactorMultiset, FactorSession, MonoidView
 
 INF_INDEX = "inf"
@@ -275,7 +278,8 @@ class NetMonoid:
             return x.at_infinity == x.tail
         if x.is_zero:
             return True
-        return x in _members_below(self, x, depth)
+        t = _Table(self, x, depth).require()
+        return t.vec(x) in t.members
 
     def __str__(self):
         return self.name or f"{self.kind} net monoid"
@@ -313,73 +317,121 @@ def _net_key(x: ValNet):
     return (x.tail, x.at_infinity, tuple((str(i), v) for i, v in x.support))
 
 
-def _min_atom_length(m: NetMonoid):
-    return min(length(g) for g in m.atoms)
+_DIVISOR_CAP = 10_000
 
 
-def _members_below(m: NetMonoid, b: ValNet, depth: int) -> set[ValNet]:
-    """Every element of a generated monoid that is <= b, by breadth-first
-    atom accumulation (terminates: each atom adds positive length).
-    Raises DepthExhausted if some sums might need more than `depth` atoms.
+class _Table:
+    """The members of a generated monoid below one net b, as int vectors.
+
+    Each label is scaled by the lcm of the atom denominators there (1 at a
+    discrete label), so a net becomes a fixed-length int tuple and an atom
+    a tuple to add. Members are found layer by layer, layer k holding those
+    whose least atom count is k; `complete` is False when layer `depth` is
+    not empty. A member below any x <= b is below b at the same least atom
+    count, so one table answers membership and divisibility for all x <= b.
     """
-    zero = m.zero()
-    seen = {zero}
-    frontier = [zero]
-    for _ in range(depth):
-        if not frontier:
-            return seen
-        nxt = []
-        for x in frontier:
-            for g in m.atoms:
-                y = net_add(x, g)
-                if y not in seen and net_leq(y, b):
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    if frontier:
-        raise DepthExhausted(
-            f"atom sums below {b} still growing after {depth} layers")
-    return seen
+
+    def __init__(self, m: NetMonoid, b: ValNet, depth: int):
+        if b.index_set != m.index_set:
+            raise IndexMismatch("nets live over different index sets")
+        self.m, self.labels = m, m.index_set.labels
+        self.scale = tuple(lcm(*(Fraction(g.value_at(i)).denominator for g in m.atoms))
+                           for i in self.labels)
+        top = tuple(floor(Fraction(b.value_at(i)) * s)
+                    for i, s in zip(self.labels, self.scale))
+        atoms = [self.vec(g) for g in m.atoms]
+        frontier = {(0,) * len(top)}
+        self.members = set(frontier)
+        for _ in range(depth):
+            sums = (tuple(map(add, x, g)) for x in frontier for g in atoms)
+            frontier = {y for y in sums if all(map(le, y, top))} - self.members
+            self.members |= frontier
+            if not frontier:
+                break
+        self.complete = not frontier
+        self.shortfall = f"atom sums below {b} still growing after {depth} layers"
+        # d <= x implies sum(d) <= sum(x): divisors of x lie in a prefix
+        self.order = sorted(self.members, key=sum)
+        self.totals = [sum(d) for d in self.order]
+
+    def require(self) -> "_Table":
+        if not self.complete:
+            raise DepthExhausted(self.shortfall)
+        return self
+
+    def vec(self, x: ValNet) -> tuple:
+        """x as an int tuple. A value off the members' lattice reads -1, so
+        such an x is no member and has no divisors."""
+        w = [Fraction(x.value_at(i)) * s for i, s in zip(self.labels, self.scale)]
+        return tuple(v.numerator if v.denominator == 1 else -1 for v in w)
+
+    def net(self, v) -> ValNet:
+        return ValNet(self.m.index_set, tuple(
+            (i, x // s if x % s == 0 else Fraction(x, s))
+            for i, x, s in zip(self.labels, v, self.scale) if x))
+
+    def key(self, v):
+        """Sorts int tuples as _net_key sorts their nets."""
+        return tuple(compress(zip(self.labels, v), v))
+
+    def divisors(self, x) -> list:
+        """Nonzero members d <= x whose cofactor x - d is a member."""
+        below = self.order[1:bisect_right(self.totals, sum(x))]
+        return [d for d in below if tuple(map(sub, x, d)) in self.members]
+
+    def view(self) -> MonoidView:
+        def proper_divisors(x):
+            return ((d, tuple(map(sub, x, d))) for d in self.divisors(x) if d != x)
+
+        def divide(d, x):
+            c = tuple(map(sub, x, d))
+            return c if c in self.members else None
+
+        return MonoidView(name=str(self.m), identity=self.order[0], divide=divide,
+                          op=lambda x, y: tuple(map(add, x, y)), key=self.key,
+                          proper_divisors=proper_divisors, elements_up_to=lambda B: [],
+                          size=lambda v: int(length(self.net(v))))
 
 
 def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = 32) -> list[ValNet]:
     """Nonunit divisors of b inside m, i.e. members d <= b whose cofactor
-    b - d is also a member. Complete for generated monoids (up to depth);
-    depth-truncated for the sequence domain when b has a positive tail.
+    b - d is also a member, sorted by _net_key.
+
+    Generated monoids: complete, or DepthExhausted when some member below b
+    needs `depth` atoms. Sequence domain with zero tail: complete (every
+    nonzero net below b), or CapExceeded beyond 10,000 divisors. With a
+    positive tail b has infinitely many divisors, and the list is truncated
+    by `depth`.
     """
     if m.kind == "generated":
-        mem = _members_below(m, b, depth)
-        out = [d for d in mem
-               if not d.is_zero and net_sub(b, d) in mem]
-        return sorted(out, key=_net_key)
-    # sequence domain: divisors are exactly the member nets <= b; enumerate
-    # finite-support divisors over a bounded index range, plus the tail-
-    # carrying divisors obtained by lowering b at finitely many indices
-    out = []
-    hi = max([i for i in b.support_indices()] + [0]) + depth
-    idxs = [i for i in range(1, hi + 1) if b.value_at(i) > 0]
-    # finite-length divisors: cap total mass at depth to stay finite
-    def rec(pos, current, budget):
-        if len(out) >= 10000:
-            return
+        t = _Table(m, b, depth).require()
+        return [t.net(d) for d in sorted(t.divisors(t.vec(b)), key=t.key)]
+    if b.tail == 0:
+        count = prod(v + 1 for _, v in b.support) - 1
+        if count > _DIVISOR_CAP:
+            raise CapExceeded(f"{b} has {count} divisors, more than {_DIVISOR_CAP} "
+                              "to list", cap=_DIVISOR_CAP)
+        idxs, budget = [i for i, _ in b.support], inf
+    else:
+        # finite-support divisors over the next `depth` indices, of total
+        # mass at most depth; those that keep the tail are added below
+        hi = max([*b.support_indices(), 0]) + depth
+        idxs, budget = [i for i in range(1, hi + 1) if b.value_at(i) > 0], depth
+
+    def below(pos, budget):
+        """Supports of the finite nets under b at idxs[pos:], of mass <= budget."""
         if pos == len(idxs):
-            if current:
-                out.append(make_net(m.index_set, dict(current)))
+            yield ()
             return
         i = idxs[pos]
-        top = min(b.value_at(i), budget)
-        for v in range(0, top + 1):
-            rec(pos + 1, current + ([(i, v)] if v else []), budget - v)
-    rec(0, [], depth)
+        for v in range(min(b.value_at(i), budget) + 1):
+            for rest in below(pos + 1, budget - v):
+                yield ((i, v),) + rest if v else rest
+    # the first support below is the zero net's
+    out = [ValNet(m.index_set, sup) for sup in islice(below(0, budget), 1, _DIVISOR_CAP + 1)]
     if b.tail > 0:
-        # divisors that keep the tail: lower finitely many components of b
-        out.append(b)
-        for i in range(1, hi + 1):
-            v = b.value_at(i)
-            if v > 0:
-                out.append(net_sub(b, e_net(m.index_set, i)))
-    uniq = {x for x in out if x is not None and not x.is_zero}
-    return sorted(uniq, key=_net_key)
+        out += [b] + [net_sub(b, e_net(m.index_set, i)) for i in idxs]
+    return sorted(set(out), key=_net_key)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +448,7 @@ def S_b(m: NetMonoid, b: ValNet, depth: int = 12) -> set:
         if b.is_zero:
             return set()
         if b.tail == 0:
-            top = length(b)
-            return set(range(1, top + 1))
+            return set(range(1, length(b) + 1))
         finite_top = sum(b.value_at(i) for i in range(1, depth + 1))
         return set(range(1, finite_top + 1)) | {inf}
     return {length(d) for d in monoid_divisors(m, b, depth)}
@@ -437,31 +488,6 @@ class SearchOutcome:
         return self.status if self.value is None else f"{self.status}: {self.value}"
 
 
-def _generated_view(m: NetMonoid, depth: int) -> MonoidView:
-    def proper_divisors(x):
-        # monoid_divisors already guarantees the cofactor is a member
-        for d in monoid_divisors(m, x, depth):
-            if d != x:
-                yield d, net_sub(x, d)
-
-    def divide(d, x):
-        c = net_sub(x, d)
-        if c is None or not m.contains(c, depth):
-            return None
-        return c
-
-    return MonoidView(
-        name=str(m),
-        identity=m.zero(),
-        op=net_add,
-        divide=divide,
-        proper_divisors=proper_divisors,
-        key=_net_key,
-        size=lambda x: int(length(x)) if length(x) != inf else 10**9,
-        elements_up_to=lambda bound: [],
-    )
-
-
 def net_factorizations(m: NetMonoid, b: ValNet,
                        depth: int = 32) -> tuple[FactorMultiset, ...]:
     """All factorizations of b into atoms of a generated monoid. Raises
@@ -471,9 +497,13 @@ def net_factorizations(m: NetMonoid, b: ValNet,
         raise ValueError("exhaustive factorization is for generated monoids")
     if b.is_zero:
         raise ValueError("the zero net is a unit")
-    if not m.contains(b, depth):
+    if b.index_set != m.index_set:
+        return ()
+    t = _Table(m, b, depth).require()
+    if t.vec(b) not in t.members:
         return ()  # not a sum of atoms at all
-    return FactorSession(_generated_view(m, depth)).factorizations(b)
+    return tuple(FactorMultiset(tuple(map(t.net, f.atoms)))
+                 for f in FactorSession(t.view()).factorizations(t.vec(b)))
 
 
 def find_atomic_factorization(m: NetMonoid, b: ValNet,
@@ -490,10 +520,8 @@ def find_atomic_factorization(m: NetMonoid, b: ValNet,
         if not m.contains(b):
             raise ValueError(f"{b} is not in {m}")
         if b.tail == 0:
-            atoms = []
-            for i, v in b.support:
-                atoms.extend([e_net(m.index_set, i)] * v)
-            return SearchOutcome("found", FactorMultiset(tuple(atoms)))
+            atoms = tuple(e_net(m.index_set, i) for i, v in b.support for _ in range(v))
+            return SearchOutcome("found", FactorMultiset(atoms))
         return SearchOutcome("none_within_depth")
     try:
         facts = net_factorizations(m, b, depth)
@@ -520,22 +548,22 @@ def accp_chain(m: NetMonoid, b: ValNet, k: int) -> list[ValNet] | None:
                 nxt_idx = max([i for i in cur.support_indices()] + [0]) + 1
                 step = e_net(m.index_set, nxt_idx)
             else:
-                pos = [i for i in cur.support_indices() if cur.value_at(i) > 0]
-                if not pos and cur.at_infinity == 0:
+                pos = [i for i, v in cur.support if v > 0]
+                if not pos:
                     return None
-                step = e_net(m.index_set, pos[0]) if pos else None
-                if step is None:
-                    return None
+                step = e_net(m.index_set, pos[0])
             cur = net_sub(cur, step)
             if cur is None or cur.is_zero:
                 return None
             chain.append(cur)
         return chain
 
+    t = _Table(m, b, 32).require()
+
     def extend(cur, need, seen):
         if need == 0:
             return []
-        for d in monoid_divisors(m, cur, 32):
+        for d in sorted(t.divisors(cur), key=t.key):
             if d == cur or d in seen:
                 continue
             rest = extend(d, need - 1, seen | {d})
@@ -543,28 +571,13 @@ def accp_chain(m: NetMonoid, b: ValNet, k: int) -> list[ValNet] | None:
                 return [d] + rest
         return None
 
-    tail = extend(b, k - 1, {b})
-    return None if tail is None else chain + tail
+    bv = t.vec(b)
+    tail = extend(bv, k - 1, {bv})
+    return None if tail is None else chain + [t.net(d) for d in tail]
 
 
 # ---------------------------------------------------------------------------
-# boundedness, covers, counting
-
-
-def is_bounded(b: ValNet) -> bool:
-    """Every representable net takes finitely many distinct values, so a
-    ceiling always exists; kept as a predicate for symmetry with the
-    uniform version.
-    """
-    return True
-
-
-def is_uniformly_bounded(b: ValNet) -> bool:
-    """Bounded with a positive floor under the nonzero components. Again
-    automatic here: the nonzero values of an eventually constant net form a
-    finite set, so their minimum is positive.
-    """
-    return True
+# supports, covers, counting
 
 
 @dataclass(frozen=True)
@@ -588,18 +601,10 @@ class MaxSupport:
 
 
 def max_of(b: ValNet) -> MaxSupport:
-    if b.tail > 0:
-        return MaxSupport(
-            excluded=tuple(i for i, v in b.support if v == 0),
-            positive=tuple(i for i, v in b.support if v > 0),
-            cofinite=True,
-            at_infinity=b.at_infinity > 0,
-        )
-    return MaxSupport(
-        positive=tuple(i for i, v in b.support if v > 0),
-        cofinite=False,
-        at_infinity=b.at_infinity > 0,
-    )
+    # a zero-tail support stores no zeros, so `excluded` is then empty
+    return MaxSupport(positive=tuple(i for i, v in b.support if v > 0),
+                      excluded=tuple(i for i, v in b.support if v == 0),
+                      cofinite=b.tail > 0, at_infinity=b.at_infinity > 0)
 
 
 def _disjoint(x: MaxSupport, y: MaxSupport) -> bool:
@@ -695,21 +700,18 @@ class DivisorCount:
 
 
 def ffd_window(m: NetMonoid, b: ValNet, depth: int = 16) -> DivisorCount:
-    """Number of distinct nonunit divisors of b. Exact for generated
-    monoids and zero-tail sequence members; a positive tail has infinitely
-    many divisors, so the count is a depth-truncated lower bound.
+    """Number of distinct nonunit divisors of b. Exact for zero-tail
+    sequence members, and for generated monoids whose members below b all
+    need fewer than `depth` atoms. Otherwise a lower bound: a positive tail
+    counts the depth-truncated list, and a generated monoid counts the
+    divisors d for which d and b - d both appear within `depth` layers.
     """
     if m.kind == "sequence_domain" and b.tail == 0:
-        n = 1
-        for _, v in b.support:
-            n *= v + 1
-        return DivisorCount(n - 1, True)
+        return DivisorCount(prod(v + 1 for _, v in b.support) - 1, True)
     if m.kind == "sequence_domain":
         return DivisorCount(len(monoid_divisors(m, b, depth)), False)
-    try:
-        return DivisorCount(len(monoid_divisors(m, b, depth)), True)
-    except DepthExhausted:
-        return DivisorCount(len(monoid_divisors(m, b, depth // 2)), False)
+    t = _Table(m, b, depth)
+    return DivisorCount(len(t.divisors(t.vec(b))), t.complete)
 
 
 # ---------------------------------------------------------------------------
@@ -771,10 +773,8 @@ def ideal_norm_product_check(m: NetMonoid, gens_i: list[ValNet],
     ni, nj, np_ = ideal_norm(m, gens_i), ideal_norm(m, gens_j), ideal_norm(m, prod)
     keys = set(ni) | set(nj) | set(np_)
 
-    def at(n, k):
-        if k in n:
-            return n[k]
-        return n["inf" if k == "inf" else "tail"]
+    def at(n, k):  # ideal_norm always sets "inf" and "tail"
+        return n.get(k, n["tail"])
 
     for k in keys:
         if k == "inf":

@@ -1,0 +1,41 @@
+"""Smoke tests for the scripts in scripts/: each runs in its own process.
+
+The sequence-domain demo is deterministic (its random draws are seeded), so
+its output is compared byte for byte with tests/golden.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _run(*args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_classification_table():
+    out = _run("scripts/classification_table.py")
+    assert "# 151 rows (h=1: 9, h=2: 18, hfd: 1, not_hfd: 123)" in out
+    assert out.rstrip().endswith("all ok: True")
+
+
+def test_normset_explorer():
+    out = _run("scripts/normset_explorer.py", "-5")
+    assert out.startswith("order Z[sqrt(-5)], discriminant -20\n")
+    assert "36: 2 factorizations, lengths [2], [(4, 9), (6, 6)]" in out
+    assert "UFD: False" in out
+
+
+def test_sequence_domain_demo_matches_golden():
+    out = _run("scripts/sequence_domain_demo.py")
+    assert out == (GOLDEN / "sequence_domain_demo.txt").read_text(encoding="utf-8")

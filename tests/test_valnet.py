@@ -7,10 +7,12 @@ from functools import reduce
 from math import inf
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import normset_lab.valnet_sim as vn
 from normset_lab import (
+    CapExceeded,
     DepthExhausted,
     DivisorCount,
     EpsVal,
@@ -33,8 +35,6 @@ from normset_lab import (
     ideal_norm_product_check,
     idempotent_cover_check,
     inf_S_b,
-    is_bounded,
-    is_uniformly_bounded,
     length,
     load_net_monoid,
     make_net,
@@ -54,7 +54,7 @@ from normset_lab import (
     sequence_domain,
     zero_net,
 )
-from normset_lab.valnet_sim import DENSE, DISCRETE, INF_INDEX, IndexSet
+from normset_lab.valnet_sim import DENSE, DISCRETE, INF_INDEX, IndexSet, _net_key
 
 OMEGA = omega_indices()
 SEQ = sequence_domain()
@@ -263,6 +263,18 @@ def test_divisors_generated():
         monoid_divisors(M2, fnet(8, 8), depth=2)
 
 
+def test_divisors_sequence_zero_tail_are_complete():
+    # no cap at total mass `depth`: every nonzero net below b is listed
+    divs = monoid_divisors(SEQ, parse_net(SEQ, "1:40"), depth=32)
+    assert divs == [make_net(OMEGA, {1: k}) for k in range(1, 41)]
+    assert len(monoid_divisors(SEQ, parse_net(SEQ, "1:9,2:9,3:9,4:9"), depth=32)) == 9999
+    with pytest.raises(CapExceeded) as err:
+        monoid_divisors(SEQ, parse_net(SEQ, "1:10,2:10,3:10,4:10"))
+    assert err.value.cap == 10000
+    # the count needs no list, so it stays exact past the cap
+    assert ffd_window(SEQ, parse_net(SEQ, "1:10,2:10,3:10,4:10")) == DivisorCount(14640, True)
+
+
 def test_s_b_and_bfd_bound():
     assert S_b(SEQ, B23) == {1, 2, 3, 4, 5}
     assert inf_S_b(SEQ, B23) == 1
@@ -343,12 +355,6 @@ def test_accp_chain_generated():
     assert accp_chain(M2, fnet(2, 2), 0) is None
 
 
-def test_boundedness_flags():
-    for b in (Q, W1, B23):
-        assert is_bounded(b)
-        assert is_uniformly_bounded(b)
-
-
 # ---------------------------------------------------------------------------
 # supports, comaximal families, covers
 
@@ -418,6 +424,147 @@ def test_ffd_window():
     assert ffd_window(M2, fnet(2, 2)) == DivisorCount(4, True)
     assert str(DivisorCount(4, True)) == "4"
     assert "depth" in str(DivisorCount(4, False))
+
+
+def test_ffd_window_lower_bound_when_depth_runs_out():
+    # (30, 30) needs 30 atoms; at depth 16 the count is a lower bound
+    low = ffd_window(M2, fnet(30, 30), depth=16)
+    full = ffd_window(M2, fnet(30, 30), depth=64)
+    assert not low.exact and full.exact
+    assert 0 < low.count <= full.count
+    with pytest.raises(DepthExhausted):
+        monoid_divisors(M2, fnet(30, 30), depth=16)
+
+
+# ---------------------------------------------------------------------------
+# the integer member table against the ValNet BFS it replaced
+
+
+def _bfs_members(m, b, depth):
+    """Oracle: every member <= b by breadth-first atom sums over ValNets;
+    DepthExhausted when layer `depth` is not empty."""
+    zero = m.zero()
+    seen = {zero}
+    frontier = [zero]
+    for _ in range(depth):
+        if not frontier:
+            return seen
+        nxt = []
+        for x in frontier:
+            for g in m.atoms:
+                y = net_add(x, g)
+                if y not in seen and net_leq(y, b):
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    if frontier:
+        raise DepthExhausted("still growing")
+    return seen
+
+
+def _bfs_divisors(mem, x):
+    return sorted((d for d in mem if not d.is_zero and net_sub(x, d) in mem),
+                  key=_net_key)
+
+
+def _bfs_factorizations(mem, b):
+    atoms = [a for a in _bfs_divisors(mem, b) if _bfs_divisors(mem, a) == [a]]
+
+    def facts(x, start):
+        if x.is_zero:
+            return [()]
+        out = []
+        for j in range(start, len(atoms)):
+            rest = net_sub(x, atoms[j])
+            if rest in mem:
+                out += [(atoms[j],) + f for f in facts(rest, j)]
+        return out
+    return sorted(facts(b, 0), key=lambda f: [_net_key(a) for a in f])
+
+
+DENSE_THIRDS = finite_indices("X:dense", "Y")
+DENSE_ATOMS = ({"X": Fraction(1, 2), "Y": 1}, {"X": Fraction(1, 3)}, {"Y": 2})
+
+
+@st.composite
+def small_generated(draw):
+    """A generated monoid on 1-3 labels, a nonzero net near its members
+    (sometimes off their lattice) and a search depth."""
+    n = draw(st.integers(1, 3))
+    tags = draw(st.lists(st.sampled_from((DISCRETE, DENSE)), min_size=n, max_size=n))
+    iset = finite_indices(*(f"L{i}:{t}" for i, t in enumerate(tags)))
+    values = {DISCRETE: st.integers(0, 3),
+              DENSE: st.sampled_from((0, Fraction(1, 2), Fraction(1, 3), 1, Fraction(3, 2)))}
+    atoms = []
+    for _ in range(draw(st.integers(1, 4))):
+        vals = {lab: draw(values[iset.tag_of(lab)]) for lab in iset.labels}
+        if not any(vals.values()):
+            vals[iset.labels[0]] = 1
+        atoms.append(vals)
+    return _case(iset, atoms, draw(st.lists(st.integers(0, 3), min_size=len(atoms),
+                                            max_size=len(atoms))),
+                 draw(st.sampled_from((0, 0, 1, Fraction(1, 5)))), draw(st.integers(0, 8)))
+
+
+def _case(iset, atoms, mults, nudge, depth):
+    m = generated_monoid(iset, [make_net(iset, a) for a in atoms])
+    vals = {lab: sum(k * a.get(lab, 0) for k, a in zip(mults, atoms)) for lab in iset.labels}
+    lab = iset.labels[-1]
+    if nudge and (iset.tag_of(lab) == DENSE or nudge == 1):
+        vals[lab] += nudge
+    b = make_net(iset, vals)
+    return m, (b if not b.is_zero else m.atoms[0]), depth
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=small_generated())
+@example(case=_case(DENSE_THIRDS, DENSE_ATOMS, (2, 3, 1), 0, 8))
+@example(case=_case(DENSE_THIRDS, DENSE_ATOMS, (1, 1, 1), Fraction(1, 5), 8))
+def test_member_table_agrees_with_bfs(case):
+    m, b, depth = case
+    # the same least depth at which the enumeration completes
+    for d in range(depth + 1):
+        try:
+            _bfs_members(m, b, d)
+        except DepthExhausted:
+            assert not vn._Table(m, b, d).complete
+            with pytest.raises(DepthExhausted):
+                m.contains(b, d)
+            with pytest.raises(DepthExhausted):
+                net_factorizations(m, b, d)
+        else:
+            assert vn._Table(m, b, d).complete
+    try:
+        mem = _bfs_members(m, b, depth)
+    except DepthExhausted:
+        with pytest.raises(DepthExhausted):
+            monoid_divisors(m, b, depth)
+        return
+    t = vn._Table(m, b, depth)
+    assert {t.net(v) for v in t.members} == mem
+    assert m.contains(b, depth) == (b in mem)
+    assert monoid_divisors(m, b, depth) == _bfs_divisors(mem, b)
+    assert [f.atoms for f in net_factorizations(m, b, depth)] == _bfs_factorizations(mem, b)
+
+
+def test_one_member_table_per_factorization_call(monkeypatch):
+    triple = finite_indices("P", "Q", "R")
+    m = generated_monoid(triple, [parse_net(triple, text) for text in (
+        "P:1,Q:1", "Q:1,R:1", "P:1,R:1", "P:2", "Q:3", "R:2")])
+    b = parse_net(m, "P:8,Q:8,R:8")
+    builds = []
+
+    class CountingTable(vn._Table):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(vn, "_Table", CountingTable)
+    facts = net_factorizations(m, b)
+    assert len(builds) == 1
+    assert len(facts) == 27
+    for f in facts:
+        assert reduce(net_add, f.atoms) == b
 
 
 # ---------------------------------------------------------------------------
