@@ -323,8 +323,11 @@ _DIVISOR_CAP = 10_000
 class _Table:
     """The members of a generated monoid below one net b, as int vectors.
 
-    Each label is scaled by the lcm of the atom denominators there (1 at a
-    discrete label), so a net becomes a fixed-length int tuple and an atom
+    The labels are those of a finite index set, or, over omega plus a
+    point, the support indices of b and the atoms, one index past them all
+    (the tail) and infinity. Each label is scaled by the lcm of the atom
+    denominators there (1 at a discrete label), so a net becomes a
+    fixed-length int tuple and an atom
     a tuple to add. Members are found layer by layer, layer k holding those
     whose least atom count is k; `complete` is False when layer `depth` is
     not empty. A member below any x <= b is below b at the same least atom
@@ -335,6 +338,11 @@ class _Table:
         if b.index_set != m.index_set:
             raise IndexMismatch("nets live over different index sets")
         self.m, self.labels = m, m.index_set.labels
+        if m.index_set.kind == "omega_plus_point":
+            # every net in play equals its tail past the last support index,
+            # so the first index beyond them all stands for the tail
+            sup = sorted({i for x in (*m.atoms, b) for i in x.support_indices()})
+            self.labels = (*sup, max(sup, default=0) + 1, INF_INDEX)
         self.scale = tuple(lcm(*(Fraction(g.value_at(i)).denominator for g in m.atoms))
                            for i in self.labels)
         top = tuple(floor(Fraction(b.value_at(i)) * s)
@@ -366,13 +374,19 @@ class _Table:
         return tuple(v.numerator if v.denominator == 1 else -1 for v in w)
 
     def net(self, v) -> ValNet:
-        return ValNet(self.m.index_set, tuple(
-            (i, x // s if x % s == 0 else Fraction(x, s))
-            for i, x, s in zip(self.labels, v, self.scale) if x))
+        vals = [(i, x // s if x % s == 0 else Fraction(x, s))
+                for i, x, s in zip(self.labels, v, self.scale)]
+        if self.m.index_set.kind == "finite":
+            return ValNet(self.m.index_set, tuple((i, x) for i, x in vals if x))
+        *vals, (_, tail), (_, at_inf) = vals
+        return make_net(self.m.index_set, dict(vals), tail, at_inf)
 
     def key(self, v):
         """Sorts int tuples as _net_key sorts their nets."""
-        return tuple(compress(zip(self.labels, v), v))
+        if self.m.index_set.kind == "finite":
+            return tuple(compress(zip(self.labels, v), v))
+        *vals, tail, at_inf = v
+        return tail, at_inf, tuple((str(i), x) for i, x in zip(self.labels, vals) if x != tail)
 
     def divisors(self, x) -> list:
         """Nonzero members d <= x whose cofactor x - d is a member."""
@@ -390,7 +404,7 @@ class _Table:
         return MonoidView(name=str(self.m), identity=self.order[0], divide=divide,
                           op=lambda x, y: tuple(map(add, x, y)), key=self.key,
                           proper_divisors=proper_divisors, elements_up_to=lambda B: [],
-                          size=lambda v: int(length(self.net(v))))
+                          size=lambda v: int(min(length(self.net(v)), 10**9)))
 
 
 def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = 32) -> list[ValNet]:
@@ -448,7 +462,8 @@ def S_b(m: NetMonoid, b: ValNet, depth: int = 12) -> set:
         if b.is_zero:
             return set()
         if b.tail == 0:
-            return set(range(1, length(b) + 1))
+            top = length(b)
+            return set(range(1, top + 1))
         finite_top = sum(b.value_at(i) for i in range(1, depth + 1))
         return set(range(1, finite_top + 1)) | {inf}
     return {length(d) for d in monoid_divisors(m, b, depth)}
@@ -520,8 +535,10 @@ def find_atomic_factorization(m: NetMonoid, b: ValNet,
         if not m.contains(b):
             raise ValueError(f"{b} is not in {m}")
         if b.tail == 0:
-            atoms = tuple(e_net(m.index_set, i) for i, v in b.support for _ in range(v))
-            return SearchOutcome("found", FactorMultiset(atoms))
+            atoms = []
+            for i, v in b.support:
+                atoms.extend([e_net(m.index_set, i)] * v)
+            return SearchOutcome("found", FactorMultiset(tuple(atoms)))
         return SearchOutcome("none_within_depth")
     try:
         facts = net_factorizations(m, b, depth)
@@ -548,16 +565,20 @@ def accp_chain(m: NetMonoid, b: ValNet, k: int) -> list[ValNet] | None:
                 nxt_idx = max([i for i in cur.support_indices()] + [0]) + 1
                 step = e_net(m.index_set, nxt_idx)
             else:
-                pos = [i for i, v in cur.support if v > 0]
-                if not pos:
+                pos = [i for i in cur.support_indices() if cur.value_at(i) > 0]
+                if not pos and cur.at_infinity == 0:
                     return None
-                step = e_net(m.index_set, pos[0])
+                step = e_net(m.index_set, pos[0]) if pos else None
+                if step is None:
+                    return None
             cur = net_sub(cur, step)
             if cur is None or cur.is_zero:
                 return None
             chain.append(cur)
         return chain
 
+    if k == 1:
+        return chain
     t = _Table(m, b, 32).require()
 
     def extend(cur, need, seen):
@@ -601,10 +622,18 @@ class MaxSupport:
 
 
 def max_of(b: ValNet) -> MaxSupport:
-    # a zero-tail support stores no zeros, so `excluded` is then empty
-    return MaxSupport(positive=tuple(i for i, v in b.support if v > 0),
-                      excluded=tuple(i for i, v in b.support if v == 0),
-                      cofinite=b.tail > 0, at_infinity=b.at_infinity > 0)
+    if b.tail > 0:
+        return MaxSupport(
+            excluded=tuple(i for i, v in b.support if v == 0),
+            positive=tuple(i for i, v in b.support if v > 0),
+            cofinite=True,
+            at_infinity=b.at_infinity > 0,
+        )
+    return MaxSupport(
+        positive=tuple(i for i, v in b.support if v > 0),
+        cofinite=False,
+        at_infinity=b.at_infinity > 0,
+    )
 
 
 def _disjoint(x: MaxSupport, y: MaxSupport) -> bool:
@@ -773,8 +802,10 @@ def ideal_norm_product_check(m: NetMonoid, gens_i: list[ValNet],
     ni, nj, np_ = ideal_norm(m, gens_i), ideal_norm(m, gens_j), ideal_norm(m, prod)
     keys = set(ni) | set(nj) | set(np_)
 
-    def at(n, k):  # ideal_norm always sets "inf" and "tail"
-        return n.get(k, n["tail"])
+    def at(n, k):
+        if k in n:
+            return n[k]
+        return n["inf" if k == "inf" else "tail"]
 
     for k in keys:
         if k == "inf":

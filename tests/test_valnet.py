@@ -355,6 +355,13 @@ def test_accp_chain_generated():
     assert accp_chain(M2, fnet(2, 2), 0) is None
 
 
+def test_accp_chain_of_one_needs_no_enumeration():
+    # (40, 40) needs 40 atoms, past the chain search's 32 layers
+    assert accp_chain(M2, fnet(40, 40), 1) == [fnet(40, 40)]
+    with pytest.raises(DepthExhausted):
+        accp_chain(M2, fnet(40, 40), 2)
+
+
 # ---------------------------------------------------------------------------
 # supports, comaximal families, covers
 
@@ -516,12 +523,56 @@ def _case(iset, atoms, mults, nudge, depth):
     return m, (b if not b.is_zero else m.atoms[0]), depth
 
 
+@st.composite
+def small_omega_generated(draw):
+    """A generated monoid over omega plus a point, with atoms on indices
+    1-3 that may carry a tail and a (dense) value at infinity, a nonzero
+    net near its members and a search depth."""
+    tag = draw(st.sampled_from((DISCRETE, DENSE)))
+    iset = omega_indices(tag)
+    at_inf = st.sampled_from((0, 1) if tag == DISCRETE else (0, Fraction(1, 2), Fraction(1, 3)))
+    atoms = []
+    for _ in range(draw(st.integers(1, 3))):
+        tail = draw(st.integers(0, 1))
+        vals = draw(st.dictionaries(st.integers(1, 3), st.integers(0, 2), max_size=2))
+        g = make_net(iset, vals, tail, tail + draw(at_inf))
+        atoms.append(g if not g.is_zero else e_net(iset, 1))
+    mults = draw(st.lists(st.integers(0, 3), min_size=len(atoms), max_size=len(atoms)))
+    b = reduce(net_add, [g for g, k in zip(atoms, mults) for _ in range(k)], zero_net(iset))
+    # sometimes step off the members: at an index past every support, or at infinity
+    nudge = draw(st.sampled_from((None, None, 5, INF_INDEX)))
+    if nudge == 5:
+        b = net_add(b, e_net(iset, 5))
+    elif nudge == INF_INDEX:
+        b = net_add(b, make_net(iset, {}, 0, 1))
+    return generated_monoid(iset, atoms), (b if not b.is_zero else atoms[0]), draw(st.integers(0, 8))
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=small_generated())
 @example(case=_case(DENSE_THIRDS, DENSE_ATOMS, (2, 3, 1), 0, 8))
 @example(case=_case(DENSE_THIRDS, DENSE_ATOMS, (1, 1, 1), Fraction(1, 5), 8))
 def test_member_table_agrees_with_bfs(case):
-    m, b, depth = case
+    _check_table_against_bfs(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=small_omega_generated())
+def test_member_table_over_omega_agrees_with_bfs(case):
+    _check_table_against_bfs(*case)
+
+
+def test_generated_over_omega_sees_every_index():
+    m = generated_monoid(OMEGA, [e_net(OMEGA, 1)])
+    assert not m.contains(e_net(OMEGA, 5))
+    assert m.contains(make_net(OMEGA, {1: 3}))
+    assert monoid_divisors(m, make_net(OMEGA, {1: 2})) == [e_net(OMEGA, 1),
+                                                        make_net(OMEGA, {1: 2})]
+    assert monoid_divisors(m, make_net(OMEGA, {1: 2, 5: 1})) == []
+    assert net_factorizations(m, e_net(OMEGA, 5)) == ()
+
+
+def _check_table_against_bfs(m, b, depth):
     # the same least depth at which the enumeration completes
     for d in range(depth + 1):
         try:
