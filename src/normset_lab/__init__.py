@@ -13,25 +13,22 @@ non-ACCP sequence-domain behavior can be replayed step by step.
 from .arith import divisors, factorize, is_square, is_squarefree, kronecker
 from .class_groups import (BQForm, ClassGroupData, class_group,
                            class_group_imaginary, class_group_real,
-                           class_group_structure, class_number, compose,
-                           form_cycle, galois_action_trivial,
+                           class_number, compose, form_cycle,
                            ideal_class_options, minkowski_bound,
                            narrow_class_group_real, prime_form, principal_form,
                            reduce_form, reduced_forms,
                            reduced_indefinite_forms, splitting_type)
 from .errors import (BadDiscriminant, CapExceeded, DepthExhausted,
-                     IndexMismatch, NeedsBound, NormsetLabError, NotAtomic,
-                     NotMember, SearchBudgetExceeded, UsageError,
-                     WitnessSearchExhausted)
+                     IndexMismatch, NeedsBound, NormsetLabError, NotMember,
+                     SearchBudgetExceeded, UsageError, WitnessSearchExhausted)
 from .hfd_lab import (HfdVerdict, bounded_hfd_check, carlitz_verdict,
                       classification_check, elasticity_via_davenport,
                       order_hfd_witness)
 from .monoid_core import (AbelianGroup, FactorMultiset, FactorSession,
                           MonoidView, WindowElasticity, WindowVerdict,
                           davenport, davenport_witness, elasticity_window,
-                          factorizations, is_hfm_window,
-                          is_length_factorial_window, is_ufm_window,
-                          length_set, numerical_monoid_view)
+                          is_hfm_window, is_length_factorial_window,
+                          is_ufm_window, numerical_monoid_view)
 from .normsets import (NormsetHandle, UfdCertificate, Verdict,
                        factor_in_normset, irreducibles_up_to, is_saturated,
                        is_strictly_saturated_window, is_ufd,

@@ -410,24 +410,6 @@ def class_number(D: int) -> int:
     return class_group_real(D).class_number
 
 
-def class_group_structure(D: int) -> AbelianGroup:
-    return class_group(D).structure
-
-
-def is_principal(f: BQForm) -> bool:
-    D = f.discriminant()
-    if D < 0:
-        return reduce_definite(f) == reduce_definite(principal_form(D))
-    return class_group_real(D).is_principal(f)
-
-
-def galois_action_trivial(cg: ClassGroupData) -> bool:
-    """Conjugation sends each class to its inverse, so it fixes every class
-    iff the exponent divides 2.
-    """
-    return cg.structure.exponent <= 2
-
-
 # ---------------------------------------------------------------------------
 # splitting, Minkowski bound, ideal-class calculus
 

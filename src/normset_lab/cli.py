@@ -49,7 +49,6 @@ class RunConfig:
     bound: int = 500
     format: str = "text"
     depth: int = 32
-    input_path: str | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -79,7 +78,6 @@ def _config(args) -> RunConfig:
         bound=getattr(args, "bound", 500),
         format=args.format,
         depth=getattr(args, "depth", 32),
-        input_path=getattr(args, "file", None),
     )
 
 
@@ -355,7 +353,7 @@ def _cmd_valnet(args):
         if not toks:
             raise UsageError("valnet accp needs a chain length")
         k = int(toks.pop(0))
-        chain = vn.accp_chain(m, b, k)
+        chain = vn.accp_chain(m, b, k, depth)
         return {**base, "k": k, "found": chain is not None,
                 "chain": None if chain is None else [str(c) for c in chain]}, EXIT_OK
     if op == "comax":

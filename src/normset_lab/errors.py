@@ -21,10 +21,6 @@ class NotMember(NormsetLabError):
     """Asked to factor a value that is not in the monoid at hand."""
 
 
-class NotAtomic(NormsetLabError):
-    """No factorization into atoms exists for the given element."""
-
-
 class CapExceeded(NormsetLabError):
     """A combinatorial search hit its hard cap without resolving."""
 

@@ -27,7 +27,7 @@ from typing import Any
 from .arith import is_squarefree
 from .class_groups import class_group, class_number
 from .errors import BadDiscriminant, WitnessSearchExhausted
-from .monoid_core import FactorSession, WindowVerdict, davenport, is_hfm_window
+from .monoid_core import WindowVerdict, davenport, is_hfm_window
 from .quadratic import (
     QuadraticOrder,
     canonical_associate,
@@ -67,16 +67,6 @@ class HfdVerdict:
         return base
 
 
-def _length_violation(order: QuadraticOrder, bound: int):
-    """First window element whose factorization lengths split, as
-    (element, shorter, longer), or None if the window is half-factorial.
-    """
-    hit = is_hfm_window(element_monoid_view(order), bound)
-    if hit.holds:
-        return None
-    return hit.witness
-
-
 def carlitz_verdict(order: QuadraticOrder,
                     witness_bound: int = HFD_WITNESS_BOUND) -> HfdVerdict:
     """Exact verdict for a maximal imaginary order via the class-number
@@ -89,12 +79,12 @@ def carlitz_verdict(order: QuadraticOrder,
         return HfdVerdict(order, "ufd", method="carlitz")
     if h == 2:
         return HfdVerdict(order, "hfd", method="carlitz")
-    hit = _length_violation(order, witness_bound)
-    if hit is None:
+    hit = bounded_hfd_check(order, witness_bound)
+    if hit.holds:
         raise WitnessSearchExhausted(
             f"h={h} makes {order} not half-factorial, but no witness "
             f"appeared at window size <= {witness_bound}")
-    x, short, long_ = hit
+    x, short, long_ = hit.witness
     return HfdVerdict(order, "not_hfd", (short, long_), x, "carlitz")
 
 
@@ -152,12 +142,12 @@ def order_hfd_witness(d: int, n: int) -> HfdVerdict:
         w = order.element(0, 1)
     else:
         # d = -3, n >= 3: no norm cushion; the window finds the witness fast
-        hit = _length_violation(order, HFD_WITNESS_BOUND)
-        if hit is None:
+        hit = bounded_hfd_check(order, HFD_WITNESS_BOUND)
+        if hit.holds:
             raise WitnessSearchExhausted(
                 f"no two-length element in {order} at window size "
                 f"<= {HFD_WITNESS_BOUND}")
-        x, short, long_ = hit
+        x, short, long_ = hit.witness
         return HfdVerdict(order, "not_hfd", (short, long_), x, "direct_window")
 
     if not is_irreducible(w):

@@ -13,13 +13,13 @@ the distinction keep the bound around; WindowVerdict carries it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Any, Callable, Iterable, Optional
 
 from .arith import factorize
-from .errors import CapExceeded, NotAtomic, SearchBudgetExceeded
+from .errors import CapExceeded, SearchBudgetExceeded
 
 # ---------------------------------------------------------------------------
 # finite abelian groups and the Davenport constant
@@ -168,13 +168,13 @@ def davenport(g: AbelianGroup, cap: int = 64) -> int:
 def invariant_factors_from_table(elements: list, add: Callable, zero) -> tuple[int, ...]:
     """Invariant factors of a finite abelian group given by its elements and
     operation. Counts, for each prime p and each k, the solutions of p^k x = 0;
-    the counts determine the p-part partitions, which assemble largest-first
-    into the divisor chain.
+    the counts determine the p-part partitions, whose prime-power cyclic
+    orders AbelianGroup.from_cyclic assembles into the divisor chain.
     """
     n = len(elements)
     if n == 1:
         return ()
-    parts: dict[int, list[int]] = {}
+    orders: list[int] = []
     for p, _ in factorize(n):
         current = list(elements)
         logs = [0]  # logs[k] = log_p of #{x : p^k x = 0}
@@ -200,17 +200,10 @@ def invariant_factors_from_table(elements: list, add: Callable, zero) -> tuple[i
             current = nxt
         # conjugate partition: number of parts >= k is logs[k] - logs[k-1]
         col = [logs[k] - logs[k - 1] for k in range(1, len(logs))]
-        exps = []
         for k, t in enumerate(col, start=1):
             nxt_t = col[k] if k < len(col) else 0
-            exps.extend([k] * (t - nxt_t))
-        if exps:
-            parts[p] = sorted(exps, reverse=True)
-    rank = max((len(v) for v in parts.values()), default=0)
-    descending = []
-    for i in range(rank):
-        descending.append(prod(p ** exps[i] for p, exps in parts.items() if i < len(exps)))
-    fs = tuple(reversed(descending))
+            orders.extend([p ** k] * (t - nxt_t))
+    fs = AbelianGroup.from_cyclic(orders).invariant_factors
     if prod(fs) != n:
         raise ValueError("operation table is not a group table")
     return fs
@@ -266,7 +259,6 @@ class MonoidView:
     key: Callable[[Any], Any]
     size: Callable[[Any], int]
     elements_up_to: Callable[[int], Iterable]
-    generators: tuple = ()
     divides_hint: Optional[Callable[[Any, Any, Any], bool]] = None
     # divides_hint(q, a, b): False means q certainly does not divide op(a, b)
 
@@ -331,28 +323,6 @@ class FactorSession:
         res = tuple(acc[k] for k in sorted(acc))
         self._facts[kx] = res
         return res
-
-    def length_set(self, x) -> tuple[int, ...]:
-        facts = self.factorizations(x)
-        if not facts:
-            raise NotAtomic(f"{x} has no atomic factorization in {self.view.name}")
-        return tuple(sorted({f.length for f in facts}))
-
-    def elasticity(self, x) -> Fraction:
-        ls = self.length_set(x)
-        return Fraction(ls[-1], ls[0])
-
-
-def factorizations(view: MonoidView, x, session: FactorSession | None = None):
-    return (session or FactorSession(view)).factorizations(x)
-
-
-def length_set(view: MonoidView, x, session: FactorSession | None = None):
-    return (session or FactorSession(view)).length_set(x)
-
-
-def elasticity_of_element(view: MonoidView, x, session: FactorSession | None = None) -> Fraction:
-    return (session or FactorSession(view)).elasticity(x)
 
 
 # ---------------------------------------------------------------------------
@@ -525,5 +495,4 @@ def numerical_monoid_view(*generators: int) -> MonoidView:
         key=lambda x: x,
         size=lambda x: x,
         elements_up_to=elements_up_to,
-        generators=gens,
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .arith import divisors
+from .arith import divisors, factorize
 from .class_groups import (
     class_group_imaginary,
     class_group_real,
@@ -112,13 +112,11 @@ class NormsetHandle:
     recompute an entry.
     """
 
-    def __init__(self, order: QuadraticOrder, policy: str = "auto",
-                 default_bound: int = 500):
+    def __init__(self, order: QuadraticOrder, policy: str = "auto"):
         if policy not in _POLICIES:
             raise ValueError(f"policy must be one of {_POLICIES}")
         self.order = order
         self.policy = policy
-        self.default_bound = default_bound
         self._verdicts: dict = {}
         self._norms: dict[int, QuadElem] = {}
         self._norms_bound = 1  # the table covers 2 <= |m| <= this
@@ -240,18 +238,10 @@ def _ideal_contains(order: QuadraticOrder, m: int, bound: int | None,
     if not order.is_maximal:
         raise ValueError("the ideal-theoretic backend needs a maximal order")
     D = order.discriminant
-    if order.is_imaginary:
-        if m < 0:
-            return Verdict("no", None, None, "ideal_theoretic", m)
-        cg = class_group_imaginary(D)
-        opts = ideal_class_options(cg, m)
-        if opts is None or cg.identity_index not in opts:
-            return Verdict("no", None, None, "ideal_theoretic", m)
-        wit = _element_witness(order, m, bound, table)
-        return Verdict("yes", wit, None, "ideal_theoretic", m)
-    nar = narrow_class_group_real(D)
-    opts = ideal_class_options(nar, abs(m))
-    target = nar.identity_index if m > 0 else nar.neg_principal_index
+    cg = class_group_imaginary(D) if order.is_imaginary else narrow_class_group_real(D)
+    # imaginary norms are positive: a definite group has no neg_principal_index
+    target = cg.identity_index if m > 0 else cg.neg_principal_index
+    opts = None if target is None else ideal_class_options(cg, abs(m))
     if opts is None or target not in opts:
         return Verdict("no", None, None, "ideal_theoretic", m)
     wit = _element_witness(order, m, bound, table)
@@ -433,14 +423,6 @@ class UfdCertificate:
                f"primes {list(self.criterion_primes)})"
 
 
-def _small_primes_up_to(n: int) -> list[int]:
-    out = []
-    for p in range(2, n + 1):
-        if all(p % q for q in out):
-            out.append(p)
-    return out
-
-
 def is_ufd(order: QuadraticOrder) -> UfdCertificate:
     if not order.is_maximal:
         raise ValueError("the norm criterion applies to maximal orders")
@@ -448,7 +430,9 @@ def is_ufd(order: QuadraticOrder) -> UfdCertificate:
     ns = NormsetHandle(order)
     rows = []
     ok = True
-    for p in _small_primes_up_to(int(M)):
+    for p in range(2, int(M) + 1):
+        if factorize(p) != [(p, 1)]:
+            continue
         f = splitting_type(order.field, p).f_p
         t = p**f
         if t > M:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 from .arith import divisors, is_square, is_squarefree
 from .errors import BadDiscriminant, NeedsBound
@@ -175,12 +175,8 @@ class QuadElem:
         return self.a == 0 and self.b == 0
 
     def is_unit(self) -> bool:
-        nm = self.norm()
-        if nm not in (1, -1):
-            return False
-        # inverse = conj / norm; coordinates stay integral since |norm| = 1
-        inv = self.conj() if nm == 1 else -self.conj()
-        return (self * inv) == self.order.one()
+        # the order is closed under conjugation, so conj(x) / N(x) is integral
+        return self.norm() in (1, -1)
 
     def __str__(self):
         return f"{self.a}{self.b:+d}*w"

@@ -549,10 +549,11 @@ def find_atomic_factorization(m: NetMonoid, b: ValNet,
     return SearchOutcome("proven_none")
 
 
-def accp_chain(m: NetMonoid, b: ValNet, k: int) -> list[ValNet] | None:
+def accp_chain(m: NetMonoid, b: ValNet, k: int, depth: int = 32) -> list[ValNet] | None:
     """A chain of k nets starting at b, each a strictly smaller nonunit
     divisor of the previous: a length-k witness against the ascending chain
-    condition when it exists, else None.
+    condition when it exists, else None. On a generated monoid raises
+    DepthExhausted when some member below b needs `depth` atoms.
     """
     if k < 1 or b.is_zero:
         return None
@@ -579,7 +580,7 @@ def accp_chain(m: NetMonoid, b: ValNet, k: int) -> list[ValNet] | None:
 
     if k == 1:
         return chain
-    t = _Table(m, b, 32).require()
+    t = _Table(m, b, depth).require()
 
     def extend(cur, need, seen):
         if need == 0:

@@ -24,7 +24,6 @@ from normset_lab import (
     compose,
     form_cycle,
     ideal_class_options,
-    galois_action_trivial,
     minkowski_bound,
     narrow_class_group_real,
     order_of,
@@ -35,7 +34,6 @@ from normset_lab import (
     splitting_type,
 )
 from normset_lab.class_groups import (
-    is_principal,
     is_reduced_definite,
     is_reduced_indefinite,
     reduce_definite,
@@ -317,21 +315,14 @@ def test_group_data_methods():
 def test_dispatch_and_module_level_principal():
     assert class_group(-20).kind == "definite"
     assert class_group(136).kind == "wide"
-    assert is_principal(BQForm(1, 0, 5))
-    assert not is_principal(BQForm(2, 2, 3))
-    assert is_principal(BQForm(2, 12, 1))  # disc 136, reduces into principal cycle?
+    assert class_group(-20).is_principal(BQForm(1, 0, 5))
+    assert not class_group(-20).is_principal(BQForm(2, 2, 3))
+    assert class_group(136).is_principal(BQForm(2, 12, 1))  # disc 136, reduces into principal cycle?
     # the form (2,12,1) has disc 144-8=136; verify by index rather than guess
     wide = class_group_real(136)
-    assert is_principal(BQForm(2, 12, 1)) == (
+    assert class_group(136).is_principal(BQForm(2, 12, 1)) == (
         wide.index_of(BQForm(2, 12, 1)) == wide.identity_index
     )
-
-
-def test_galois_action():
-    assert galois_action_trivial(class_group_imaginary(-20))
-    assert galois_action_trivial(class_group_real(136))
-    assert not galois_action_trivial(class_group_imaginary(-56))
-    assert not galois_action_trivial(class_group_imaginary(-164))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ and captured output without spawning subprocesses.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -292,6 +293,16 @@ def test_valnet_sb_and_accp(capsys, seq_file):
     assert rec["chain"][0] == "(1:0, tail:1, inf:1)"
 
 
+def test_valnet_accp_obeys_depth(capsys, gen_file):
+    code, rec, _ = run_json(capsys, "valnet", gen_file, "accp",
+                            "M1:40,M2:40", "3")
+    assert code == 2 and rec["reason"] == "DepthExhausted"
+    code, rec, _ = run_json(capsys, "valnet", gen_file, "accp",
+                            "M1:40,M2:40", "3", "--depth", "64")
+    assert code == 0 and rec["found"] is True
+    assert len(rec["chain"]) == 3
+
+
 def test_valnet_cover_and_comax(capsys, seq_file, gen_file):
     code, rec, _ = run_json(capsys, "valnet", seq_file, "cover", "q", "1,2,3")
     assert code == 0 and rec["covered"] is False
@@ -325,3 +336,62 @@ def test_valnet_usage_errors(capsys, seq_file):
     assert code == 1
     code, _, err = run(capsys, "valnet", "/nonexistent.valnet", "atoms")
     assert code == 1
+
+
+# ---------------------------------------------------------------------------
+# golden records: stdout and exit code, byte for byte
+
+
+GOLDEN_CLI = Path(__file__).resolve().parent / "golden" / "cli"
+
+# name -> argv; each tests/golden/cli/<name>.out holds "exit: <code>" and
+# then the command's stdout. Net files are read from tests/golden/cli too.
+GOLDEN_COMMANDS = {
+    "classgroup_-41": "classgroup --d -41",
+    "classgroup_34": "classgroup --d 34",
+    "member_-10": "normset member --d -10 --value 15",
+    "member_-5": "normset member --d -5 --value 6",
+    "member_-41": "normset member --d -41 --value 2025",
+    "member_10": "normset member --d 10 --value -6",
+    "member_34": "normset member --d 34 --value -9",
+    "member_97": "normset member --d 97 --value 2",
+    "atoms_-10": "normset atoms --d -10 --bound 100",
+    "atoms_-5": "normset atoms --d -5 --bound 100",
+    "atoms_-41": "normset atoms --d -41 --bound 100",
+    "atoms_10": "normset atoms --d 10 --bound 100",
+    "atoms_34": "normset atoms --d 34 --bound 100",
+    "atoms_97": "normset atoms --d 97 --bound 100",
+    "factor_-10": "normset factor --d -10 --value 196",
+    "factor_-5": "normset factor --d -5 --value 36",
+    "factor_-41": "normset factor --d -41 --value 2025",
+    "factor_10": "normset factor --d 10 --value 36",
+    "factor_34": "normset factor --d 34 --value 81",
+    "factor_97": "normset factor --d 97 --value 12",
+    "ufd_-10": "ufd --d -10",
+    "ufd_34": "ufd --d 34",
+    "ufd_-163": "ufd --d -163",
+    "saturation_34": "saturation --d 34",
+    "hfd_-14": "hfd --d -14",
+    "hfd_-14_text": "hfd --d -14 --format text",
+    "hfd_-3_2": "hfd --d -3 --n 2",
+    "hfd_-3_4": "hfd --d -3 --n 4",
+    "elasticity_-14": "elasticity --d -14",
+    "classify_hfd": "classify-hfd",
+    "davenport_2_4": "davenport --group 2,4",
+    "valnet_member": "valnet m2.net member M1:40,M2:40",
+    "valnet_accp": "valnet m2.net accp M1:40,M2:40 3",
+    "valnet_divisors": "valnet m2.net divisors M1:6,M2:4",
+    "valnet_factor": "valnet seq.net factor 1:2,3:3",
+}
+
+
+def _golden_argv(cmd: str) -> list[str]:
+    argv = [str(GOLDEN_CLI / t) if t.endswith(".net") else t for t in cmd.split()]
+    return argv if "--format" in argv else argv + ["--format", "json"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_cli_output_matches_golden(capsys, name):
+    code, out, _ = run(capsys, *_golden_argv(GOLDEN_COMMANDS[name]))
+    expected = (GOLDEN_CLI / f"{name}.out").read_text(encoding="utf-8")
+    assert f"exit: {code}\n{out}" == expected

@@ -94,6 +94,22 @@ def test_policy_both_agrees_with_auto():
             assert vb.backend == "both"
 
 
+def test_ideal_backend_on_imaginary_orders_rejects_negative_norms(monkeypatch):
+    # a negative m never reaches the class calculus on an imaginary order
+    def no_options(cg, q):
+        raise AssertionError(f"ideal_class_options({q}) called for a negative norm")
+
+    monkeypatch.setattr("normset_lab.normsets.ideal_class_options", no_options)
+    for d in (-1, -5, -14, -41):
+        form = NormsetHandle(order_of(d), policy="form_search")
+        ideal = NormsetHandle(order_of(d), policy="ideal_theoretic")
+        both = NormsetHandle(order_of(d), policy="both")
+        for m in range(-60, -1):
+            assert form.contains(m).answer == "no", (d, m)
+            assert ideal.contains(m).answer == "no", (d, m)
+            assert both.contains(m).answer == "no", (d, m)
+
+
 def test_bounded_search_answers_unknown():
     ns = NormsetHandle(order_of(34), policy="form_search")
     v = ns.contains(3, bound=1)

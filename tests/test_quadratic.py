@@ -34,6 +34,20 @@ def test_norm_is_conjugate_product_and_multiplicative(order, a, b, c, e):
     assert (x * y).conj() == x.conj() * y.conj()
 
 
+@pytest.mark.parametrize("d", [-1, -3, -5, -7, 2, 3, 5, 13])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_is_unit_is_norm_plus_or_minus_one(d, n):
+    # oracle: N(x) = +-1 and x times its inverse N(x)*conj(x) is 1
+    order = order_of(d, n)
+    one = order.one()
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            x = order.element(a, b)
+            nm = x.norm()
+            expected = nm in (1, -1) and x * (nm * x.conj()) == one
+            assert x.is_unit() == expected, x
+
+
 def test_order_construction_guards():
     with pytest.raises(BadDiscriminant):
         order_of(12)
