@@ -498,7 +498,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (NeedsBound, WitnessSearchExhausted, DepthExhausted,
             SearchBudgetExceeded, CapExceeded) as e:
-        record = {"command": args.command, "answer": "unknown",
+        command = " ".join(filter(None, (args.command, getattr(args, "normset_op", None))))
+        record = {"command": command, "answer": "unknown",
                   "reason": type(e).__name__, "detail": str(e)}
         bound = getattr(args, "bound", None)
         if bound is not None:

@@ -124,35 +124,21 @@ def order_hfd_witness(d: int, n: int) -> HfdVerdict:
     if n < 2:
         raise ValueError("maximal orders go through carlitz_verdict")
     order = order_of(d, n)
-    if (d, n) == (-3, 2):
-        chk = bounded_hfd_check(order, 400)
-        if chk.holds:
+    if d == -3:
+        bound = 400 if n == 2 else HFD_WITNESS_BOUND
+        chk = bounded_hfd_check(order, bound)
+        if chk.holds and n == 2:
             return HfdVerdict(order, "hfd", method="order_argument")
+        if chk.holds:
+            raise WitnessSearchExhausted(
+                f"no two-length element in {order} at window size <= {bound}")
         x, short, long_ = chk.witness
         return HfdVerdict(order, "not_hfd", (short, long_), x, "direct_window")
 
-    if d == -1:
-        target = 2 * n * n  # N(n + ni)
-        w = order.element(n, 1)
-    elif d % 4 != 1:
-        target = -d * n * n  # (n sqrt d)(n sqrt d) = d n^2, associate |d| n^2
-        w = order.element(0, 1)
-    elif d <= -7:
-        target = n * n * (1 - d) // 4  # N(n xi)
-        w = order.element(0, 1)
-    else:
-        # d = -3, n >= 3: no norm cushion; the window finds the witness fast
-        hit = bounded_hfd_check(order, HFD_WITNESS_BOUND)
-        if hit.holds:
-            raise WitnessSearchExhausted(
-                f"no two-length element in {order} at window size "
-                f"<= {HFD_WITNESS_BOUND}")
-        x, short, long_ = hit.witness
-        return HfdVerdict(order, "not_hfd", (short, long_), x, "direct_window")
-
+    w = order.element(n, 1) if d == -1 else order.element(0, 1)
     if not is_irreducible(w):
         raise WitnessSearchExhausted(f"{w} unexpectedly splits in {order}")
-    elem = canonical_associate(order.element(target, 0))
+    elem = canonical_associate(order.element(w.norm(), 0))
     facts = factor_element(order, elem)
     short = min(facts, key=len)
     long_ = max(facts, key=len)

@@ -198,13 +198,18 @@ def _unit_verdict(order: QuadraticOrder, m: int) -> Verdict:
     return Verdict("no", None, None, "units", m)
 
 
-def _real_search(order: QuadraticOrder, m: int, bound: int | None,
-                 table: dict | None) -> tuple[list[QuadElem], int, int]:
-    """The real element search under the bound rule, as (solutions, bound
-    used, exact bound). No bound means the exact bound, refused with
-    NeedsBound above the ceiling; a bound searches up to the exact bound at
-    most. At the exact bound a norm table covering m answers instead.
+def _search(order: QuadraticOrder, m: int, bound: int | None,
+            table: dict | None) -> tuple[list[QuadElem], int | None, int | None]:
+    """The element search under the bound rule, as (solutions, bound used,
+    exact bound). An imaginary search is exact: the canonical associate of
+    its first solution, both bounds None. A real search with no bound runs
+    at the exact bound, refused with NeedsBound above the ceiling; a bound
+    searches up to the exact bound at most. At the exact bound a norm table
+    covering m answers instead.
     """
+    if order.is_imaginary:
+        sols = elements_of_norm(order, m)
+        return [canonical_associate(x) for x in sols[:1]], None, None
     exact_b = exact_real_search_bound(order, m)
     if bound is None and exact_b > _REAL_SEARCH_CEILING:
         raise NeedsBound(
@@ -219,13 +224,7 @@ def _real_search(order: QuadraticOrder, m: int, bound: int | None,
 
 def _form_search_contains(order: QuadraticOrder, m: int, bound: int | None,
                           table: dict | None) -> Verdict:
-    if order.is_imaginary:
-        sols = elements_of_norm(order, m)
-        if sols:
-            return Verdict("yes", canonical_associate(sols[0]), None,
-                           "form_search", m)
-        return Verdict("no", None, None, "form_search", m)
-    sols, sb, exact_b = _real_search(order, m, bound, table)
+    sols, sb, exact_b = _search(order, m, bound, table)
     if sols:
         return Verdict("yes", sols[0], sb, "form_search", m)
     if sb == exact_b:
@@ -251,16 +250,12 @@ def _ideal_contains(order: QuadraticOrder, m: int, bound: int | None,
 def _element_witness(order: QuadraticOrder, m: int, bound: int | None,
                      table: dict | None) -> QuadElem:
     """Fetch an element of norm m after the ideal backend certified one
-    exists. Real orders follow the bound rule of the element search
-    (_real_search); a bound below the exact one that finds nothing raises
-    NeedsBound, since a "yes" must carry its witness. At the exact bound the
-    search must find one.
+    exists, under the bound rule of the element search (_search); a bound
+    below the exact one that finds nothing raises NeedsBound, since a "yes"
+    must carry its witness. At the exact bound the search must find one.
     """
-    if order.is_imaginary:
-        sols = elements_of_norm(order, m)
-        return canonical_associate(sols[0])
-    sols, sb, exact_b = _real_search(order, m, bound, table)
-    if not sols and sb < exact_b:
+    sols, sb, exact_b = _search(order, m, bound, table)
+    if not sols and sb != exact_b:
         raise NeedsBound(
             f"norm {m} in {order} has an element but none with |b| <= {sb}; "
             f"the exact search needs |b| <= {exact_b}")

@@ -7,26 +7,28 @@ gives the ring of integers. Elements are stored in the order basis {1, w}
 with w = n*xi, so membership questions about quotients are plain integer
 divisibility of coordinates and non-maximal orders stay first-class.
 
-Norms:
-    sqrt kind:  N(a + b*w) = a^2 - d*n^2*b^2
-    half kind:  N(a + b*w) = a^2 + n*a*b + n^2*b^2*(1-d)/4
-both are the product of an element with its conjugate, verified by the
-multiplicativity property tests.
+Norms: one arithmetic serves both kinds. With D = n^2 * D_K the order's
+discriminant and p the trace of w (p = n for d = 1 mod 4, else 0), w is
+(p + sqrt(D))/2 and satisfies w^2 = p*w + q, q = (D - p^2)/4. So
+    N(a + b*w) = a^2 + p*a*b - q*b^2,
+the principal form of discriminant D, and conj(a + b*w) = (a + p*b) - b*w.
+Under a real embedding 2*(a + b*w) = t + b*sqrt(D) with t = 2a + p*b, so
+the pair (t, b) carries the element's exact sign and size: a norm search
+walks t^2 = 4m + D*b^2, and emb(x) >= |conj(x)| iff t >= 0 and b >= 0.
 
 Everything is exact integer arithmetic; there is not a float in sight.
 Element factorization enumerates divisors through elements_of_norm and is
 offered for imaginary orders only, where the unit group is finite. Real
 orders get elements_of_norm with unit reduction, and fundamental units via
-the continued fraction of sqrt(d) (d = 2, 3 mod 4) or of (1 + sqrt(d))/2
-(d = 1 mod 4). Real norm searches at the exact bound, and the window table
-of real_norm_table, walk only the integer fundamental domain of
-canonical_associate, so they test signs instead of sliding by units.
+the continued fraction of w. Real norm searches at the exact bound, and the
+window table of real_norm_table, walk only the integer fundamental domain
+of canonical_associate, so they test signs instead of sliding by units.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 
 from .arith import divisors, is_square, is_squarefree
@@ -79,6 +81,16 @@ class QuadraticOrder:
     @property
     def discriminant(self) -> int:
         return self.n * self.n * self.field.field_discriminant
+
+    @cached_property
+    def p(self) -> int:
+        """The trace of w, so that w = (p + sqrt(D))/2."""
+        return self.n if self.d % 4 == 1 else 0
+
+    @cached_property
+    def q(self) -> int:
+        """w^2 = p*w + q, so N(w) = -q."""
+        return (self.discriminant - self.p * self.p) // 4
 
     @property
     def is_maximal(self) -> bool:
@@ -148,28 +160,19 @@ class QuadElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        d, n = self.order.d, self.order.n
+        order = self.order
         a, b, c, e = self.a, self.b, o.a, o.b
-        if self.order.xi_kind == SQRT_KIND:
-            # w^2 = d*n^2
-            return QuadElem(self.order, a * c + d * n * n * b * e, a * e + b * c)
-        # w^2 = n*w + n^2*(d-1)/4
-        t = n * n * (d - 1) // 4
-        return QuadElem(self.order, a * c + t * b * e, a * e + b * c + n * b * e)
+        be = b * e  # w^2 = p*w + q
+        return QuadElem(order, a * c + order.q * be, a * e + b * c + order.p * be)
 
     __rmul__ = __mul__
 
     def conj(self) -> "QuadElem":
-        if self.order.xi_kind == SQRT_KIND:
-            return QuadElem(self.order, self.a, -self.b)
-        return QuadElem(self.order, self.a + self.order.n * self.b, -self.b)
+        return QuadElem(self.order, self.a + self.order.p * self.b, -self.b)
 
     def norm(self) -> int:
-        d, n = self.order.d, self.order.n
         a, b = self.a, self.b
-        if self.order.xi_kind == SQRT_KIND:
-            return a * a - d * n * n * b * b
-        return a * a + n * a * b + n * n * b * b * (1 - d) // 4
+        return a * a + self.order.p * a * b - self.order.q * b * b
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -243,7 +246,9 @@ def _cf_unit(d: int, P: int, Q: int) -> tuple[int, int]:
     """Walk the continued fraction of (P + sqrt(d))/Q, Q | d - P^2, to the
     first later complete quotient (P' + sqrt(d))/Q with the starting Q again.
     With A/B the convergent before it, returns (x, y) = (Q*A - P*B, B),
-    which solves x^2 - d*y^2 = +-Q^2 with the least y > 0.
+    which solves x^2 - d*y^2 = +-Q^2 with the least y > 0. d need not be
+    squarefree: for d = 4*d' and (P, Q) = (0, 2) the walk is that of
+    sqrt(d') with every (P, Q) doubled.
     """
     r = isqrt(d)
     P0, Q0 = P, Q
@@ -262,19 +267,15 @@ def _cf_unit(d: int, P: int, Q: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def fundamental_unit(d: int) -> tuple[QuadElem, int]:
     """Smallest unit > 1 of the maximal order of Q(sqrt(d)), d > 1 squarefree,
-    with its norm sign. It comes from the continued fraction of sqrt(d) for
-    d = 2, 3 (mod 4) and of (1 + sqrt(d))/2 for d = 1 (mod 4), where the
-    period yields the least t^2 - d*u^2 = +-4.
+    with its norm sign. It comes from the continued fraction of
+    w = (p + sqrt(D))/2, whose period yields the least t^2 - D*u^2 = +-4;
+    the unit is (t + u*sqrt(D))/2 = (t - p*u)/2 + u*w.
     """
     if d <= 1:
         raise BadDiscriminant("fundamental units live in real fields")
     order = order_of(d, 1)
-    if d % 4 != 1:
-        x, y = _cf_unit(d, 0, 1)
-        eps = order.element(x, y)
-    else:
-        t, u = _cf_unit(d, 1, 2)
-        eps = order.element((t - u) // 2, u)
+    t, u = _cf_unit(order.discriminant, order.p, 2)
+    eps = order.element((t - order.p * u) // 2, u)
     return eps, eps.norm()
 
 
@@ -301,34 +302,18 @@ def norm_plus_unit(order: QuadraticOrder) -> QuadElem:
     return eps if sign == 1 else eps * eps
 
 
-def _emb_sign_raw(p: int, q: int, d: int) -> int:
-    """Exact sign of p + q*sqrt(d), d > 0 nonsquare."""
-    if p == 0 and q == 0:
-        return 0
-    if p >= 0 and q >= 0:
-        return 1
-    if p <= 0 and q <= 0:
-        return -1
-    return 1 if (p * p > q * q * d) == (p > 0) else -1
+def _emb_negative(x: QuadElem) -> bool:
+    """Whether emb(x) < 0, for nonzero x of a real order."""
+    t, b = 2 * x.a + x.order.p * x.b, x.b
+    if t * b >= 0:
+        return t < 0 or b < 0
+    # conj(x) = (t - b*sqrt(D))/2 then has the sign of t, and emb = N/conj
+    return (x.norm() < 0) != (t < 0)
 
 
-def _emb_coords(order: QuadraticOrder, x: QuadElem) -> tuple[int, int]:
-    """(p, q) with 2*emb(x) = p + q*sqrt(d) under the real embedding."""
-    n = order.n
-    if order.xi_kind == SQRT_KIND:
-        return 2 * x.a, 2 * x.b * n
-    return 2 * x.a + x.b * n, x.b * n
-
-
-def _emb_sign(order: QuadraticOrder, x: QuadElem) -> int:
-    p, q = _emb_coords(order, x)
-    return _emb_sign_raw(p, q, order.d)
-
-
-def _emb_square_cmp(order: QuadraticOrder, x: QuadElem, bound: int) -> int:
-    """Compare emb(x)^2 with the integer bound: -1, 0, or +1, exactly."""
-    p, q = _emb_coords(order, x * x)
-    return _emb_sign_raw(p - 2 * bound, q, order.d)
+def _emb_at_least_conj(x: QuadElem) -> bool:
+    """emb(x) >= |conj(x)|, so emb(x) >= sqrt|N(x)| when emb(x) > 0."""
+    return x.b >= 0 and 2 * x.a + x.order.p * x.b >= 0
 
 
 def canonical_associate(x: QuadElem, same_norm: bool = False) -> QuadElem:
@@ -357,13 +342,12 @@ def canonical_associate(x: QuadElem, same_norm: bool = False) -> QuadElem:
         )
     u, sign = (norm_plus_unit(order), 1) if same_norm else order_fundamental_unit(order)
     u_inv = u.conj() if sign == 1 else -u.conj()  # u^-1 = N(u) * conj(u)
-    if _emb_sign(order, x) < 0:
+    if _emb_negative(x):
         x = -x
-    m = abs(x.norm())
-    # slide into [sqrt(m), sqrt(m)*u): emb(x)^2 in [m, m*u^2)
-    while _emb_square_cmp(order, x, m) < 0:
+    # slide into [sqrt|N|, sqrt|N|*u)
+    while not _emb_at_least_conj(x):
         x = x * u
-    while _emb_square_cmp(order, x * u_inv, m) >= 0:
+    while _emb_at_least_conj(x * u_inv):
         x = x * u_inv
     return x
 
@@ -410,21 +394,17 @@ def _sol_key(x: QuadElem) -> tuple:
 
 def _norm_solutions(order: QuadraticOrder, m: int, bmax: int) -> list[QuadElem]:
     """Every element a + b*w of norm m with |b| <= bmax, unreduced: the roots
-    t of t^2 = k*m + d*(n*b)^2, where t = a and k = 1 for the sqrt kind and
-    t = 2a + n*b and k = 4 for the half kind. In the half kind d = 1 (mod 4)
-    forces t = n*b (mod 2), so every root gives an element.
+    t = 2a + p*b of t^2 = 4m + D*b^2. D = p^2 (mod 4) forces t = p*b
+    (mod 2), so every root gives an element.
     """
-    half = order.xi_kind == HALF_KIND
-    k = 4 if half else 1
-    n = order.n
-    dn2 = order.d * n * n
+    D, p = order.discriminant, order.p
     out = []
     for b in range(-bmax, bmax + 1):
-        t2 = k * m + dn2 * b * b
+        t2 = 4 * m + D * b * b
         if is_square(t2):
             t = isqrt(t2)
             for tt in {t, -t}:
-                out.append(QuadElem(order, (tt - n * b) // 2 if half else tt, b))
+                out.append(QuadElem(order, (tt - p * b) // 2, b))
     return out
 
 
@@ -434,30 +414,27 @@ def _real_domain_scan(order: QuadraticOrder, lo: int, hi: int, b_max: int):
     of canonical_associate(., same_norm=True): positive embedding in
     [sqrt|N|, sqrt|N| * u), u = norm_plus_unit(order).
 
-    Write emb(x) = (t + s*sqrt(d))/c with s = n*b (c = 1 for the sqrt kind,
-    2 for the half kind), and let (P, Q) be a positive multiple of that pair
-    for u. Then emb(x) >= sqrt|N| iff t >= 0 and s >= 0, and
+    Write 2*emb(x) = t + b*sqrt(D), t = 2a + p*b, and take (P, Q) the same
+    way from u. Then emb(x) >= sqrt|N| iff t >= 0 and b >= 0, and
     emb(x) < sqrt|N| * u iff y = x * conj(u) fails that test, i.e.
-    t*P < d*s*Q or s*P < t*Q. So one pass over b walks only the t with
-    t^2 - d*s^2 in [k*lo, k*hi], k = c^2, and keeps the canonical ones by
-    integer sign tests.
+    t*P < D*b*Q or b*P < t*Q. So one pass over b walks only the t = p*b
+    (mod 2) with t^2 - D*b^2 in [4*lo, 4*hi], and keeps the canonical ones
+    by integer sign tests.
     """
-    d, n = order.d, order.n
-    half = order.xi_kind == HALF_KIND
-    k, step = (4, 2) if half else (1, 1)
-    P, Q = _emb_coords(order, norm_plus_unit(order))
+    D, p = order.discriminant, order.p
+    u = norm_plus_unit(order)
+    P, Q = 2 * u.a + p * u.b, u.b
+    lo4, hi4 = 4 * lo, 4 * hi
     for b in range(b_max + 1):
-        s = n * b
-        base = d * s * s
-        low = base + k * lo
+        base = D * b * b
+        low = base + lo4
         t = isqrt(low - 1) + 1 if low > 0 else 0
-        if (t - s) % step:
-            t += 1
-        top = base + k * hi
+        t += (t - p * b) & 1
+        top = base + hi4
         while t * t <= top:
-            if t * P < d * s * Q or s * P < t * Q:
-                yield (t * t - base) // k, QuadElem(order, (t - s) // 2 if half else t, b)
-            t += step
+            if t * P < D * b * Q or b * P < t * Q:
+                yield (t * t - base) // 4, QuadElem(order, (t - p * b) // 2, b)
+            t += 2
 
 
 def real_norm_table(order: QuadraticOrder, bound: int) -> dict[int, QuadElem]:
@@ -490,8 +467,7 @@ def elements_of_norm(order: QuadraticOrder, m: int, search_bound: int | None = N
     if order.is_imaginary:
         if m < 0:
             return NormSolutions([], exact=True)
-        k = 4 if order.xi_kind == HALF_KIND else 1
-        bmax = isqrt(k * m // (-order.d * order.n * order.n))
+        bmax = isqrt(4 * m // -order.discriminant)
         return NormSolutions(sorted(_norm_solutions(order, m, bmax), key=_sol_key),
                              exact=True)
     if search_bound is None:

@@ -375,6 +375,12 @@ GOLDEN_COMMANDS = {
     "hfd_-14_text": "hfd --d -14 --format text",
     "hfd_-3_2": "hfd --d -3 --n 2",
     "hfd_-3_4": "hfd --d -3 --n 4",
+    "hfd_-7_3": "hfd --d -7 --n 3",
+    "norm_-3_3": "norm --d -3 --n 3 --elem -3+2w",
+    "norm_13_2": "norm --d 13 --n 2 --elem 5-3w",
+    "member_13_2": "normset member --d 13 --n 2 --value -3",
+    "member_6_3": "normset member --d 6 --n 3 --value 10",
+    "factor_13_2": "normset factor --d 13 --n 2 --value 36",
     "elasticity_-14": "elasticity --d -14",
     "classify_hfd": "classify-hfd",
     "davenport_2_4": "davenport --group 2,4",

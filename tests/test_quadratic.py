@@ -105,33 +105,45 @@ def test_fundamental_units_pell_fixtures():
 
 
 def _scanned_unit(d, cap):
-    """The least t^2 - d*u^2 = +-4 with 0 < u <= cap by a linear scan over u,
-    as (a, b, sign) of (t + u*sqrt(d))/2 = a + b*w; None when u exceeds cap.
+    """The least unit > 1 of the maximal order by a linear scan over u, as
+    (a, b, sign) of a + b*w; None when u exceeds cap. For d = 1 (mod 4) it is
+    the least t^2 - d*u^2 = +-4, the unit (t + u*sqrt(d))/2; otherwise the
+    least x^2 - d*u^2 = +-1, the unit x + u*sqrt(d).
     """
+    k = 4 if d % 4 == 1 else 1
     for u in range(1, cap + 1):
-        for target in (-4, 4):
+        for target in (-k, k):
             t2 = d * u * u + target
             if is_square(t2):
-                return (isqrt(t2) - u) // 2, u, target // 4
+                t = isqrt(t2)
+                return (t - u) // 2 if k == 4 else t, u, target // k
     return None
 
 
-def test_fundamental_unit_matches_scan_for_half_kind():
+def _assert_units_match_scan(ds):
     # the linear scan is the oracle wherever it ends below the cap; above it
     # the scan still proves no smaller solution exists
     cap = 20000
-    for d in range(5, 600, 4):
+    for d in ds:
         if not is_squarefree(d):
             continue
         eps, sign = fundamental_unit(d)
-        t, u = 2 * eps.a + eps.b, eps.b
-        assert t > 0 and u > 0 and t * t - d * u * u == 4 * sign, d
+        assert eps.a >= 0 and eps.b > 0 and _kind_norm(eps) == sign, d
         assert eps.norm() == sign
         scanned = _scanned_unit(d, cap)
         if scanned is None:
-            assert u > cap, d
+            assert eps.b > cap, d
         else:
             assert (eps.a, eps.b, sign) == scanned, d
+
+
+def test_fundamental_unit_matches_scan_for_half_kind():
+    _assert_units_match_scan(range(5, 600, 4))
+
+
+def test_fundamental_unit_matches_scan_for_sqrt_kind():
+    # for D = 4d the walk is that of sqrt(d) with every (P, Q) doubled
+    _assert_units_match_scan(d for d in range(2, 600) if d % 4 in (2, 3))
 
 
 def test_fundamental_unit_large_period():
@@ -186,6 +198,119 @@ def test_canonical_associate_same_norm():
     o34 = order_of(34)
     y = o34.element(5, 1)  # norm -9
     assert canonical_associate(y, same_norm=True) == canonical_associate(y)
+
+
+# the per-kind arithmetic, kept as the oracle for w = (p + sqrt(D))/2
+
+
+def _kind_mul(x, y):
+    """x*y as (a, b) from w^2 = d*n^2 (sqrt kind) or w^2 = n*w + n^2*(d-1)/4."""
+    d, n = x.order.d, x.order.n
+    a, b, c, e = x.a, x.b, y.a, y.b
+    if x.order.xi_kind == HALF_KIND:
+        t = n * n * (d - 1) // 4
+        return a * c + t * b * e, a * e + b * c + n * b * e
+    return a * c + d * n * n * b * e, a * e + b * c
+
+
+def _kind_conj(x):
+    if x.order.xi_kind == HALF_KIND:
+        return x.a + x.order.n * x.b, -x.b
+    return x.a, -x.b
+
+
+def _kind_norm(x):
+    d, n, a, b = x.order.d, x.order.n, x.a, x.b
+    if x.order.xi_kind == HALF_KIND:
+        return a * a + n * a * b + n * n * b * b * (1 - d) // 4
+    return a * a - d * n * n * b * b
+
+
+def _sign_raw(p, q, d):
+    """Exact sign of p + q*sqrt(d), d > 0 nonsquare."""
+    if p == 0 and q == 0:
+        return 0
+    if p >= 0 and q >= 0:
+        return 1
+    if p <= 0 and q <= 0:
+        return -1
+    return 1 if (p * p > q * q * d) == (p > 0) else -1
+
+
+def _emb_coords(x):
+    """(p, q) with 2*emb(x) = p + q*sqrt(d) under the real embedding."""
+    n = x.order.n
+    if x.order.xi_kind == HALF_KIND:
+        return 2 * x.a + x.b * n, x.b * n
+    return 2 * x.a, 2 * x.b * n
+
+
+def _emb_square_cmp(x, bound):
+    """Compare emb(x)^2 with the integer bound: -1, 0 or +1, exactly."""
+    p, q = _emb_coords(x.order.element(*_kind_mul(x, x)))
+    return _sign_raw(p - 2 * bound, q, x.order.d)
+
+
+def _slid_associate(x, same_norm):
+    """The real canonical associate by sliding with the unit u until
+    emb(x)^2 lies in [m, m*u^2), m = |N(x)|, using only the per-kind rules.
+    """
+    order = x.order
+    u, sign = (norm_plus_unit(order), 1) if same_norm else order_fundamental_unit(order)
+    a, b = _kind_conj(u)
+    u_inv = order.element(sign * a, sign * b)
+    if _sign_raw(*_emb_coords(x), order.d) < 0:
+        x = -x
+    m = abs(_kind_norm(x))
+    while _emb_square_cmp(x, m) < 0:
+        x = order.element(*_kind_mul(x, u))
+    while _emb_square_cmp(y := order.element(*_kind_mul(x, u_inv)), m) >= 0:
+        x = y
+    return x
+
+
+ARITH_ORDERS = [(d, n) for d in (-1, -2, -3, -5, -7, -15, 2, 3, 5, 6, 13, 21)
+                for n in (1, 2, 3)]
+ARITH_BOX = range(-12, 13)
+
+
+@pytest.mark.parametrize("d,n", ARITH_ORDERS)
+def test_arithmetic_matches_per_kind_formulas(d, n):
+    order = order_of(d, n)
+    ys = [order.element(c, e) for c in (-12, -5, 0, 7, 12) for e in (-12, -5, 0, 7, 12)]
+    for a in ARITH_BOX:
+        for b in ARITH_BOX:
+            x = order.element(a, b)
+            assert x.norm() == _kind_norm(x), x
+            assert (x.conj().a, x.conj().b) == _kind_conj(x), x
+            for y in ys:
+                z = x * y
+                assert (z.a, z.b) == _kind_mul(x, y), (x, y)
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d, n in ARITH_ORDERS if d > 0])
+@pytest.mark.parametrize("same_norm", [False, True])
+def test_real_canonical_associate_matches_square_slide(d, n, same_norm):
+    order = order_of(d, n)
+    for a in ARITH_BOX:
+        for b in ARITH_BOX:
+            x = order.element(a, b)
+            if not x.is_zero():
+                assert canonical_associate(x, same_norm) == _slid_associate(x, same_norm), x
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d, n in ARITH_ORDERS if d < 0])
+@pytest.mark.parametrize("same_norm", [False, True])
+def test_imaginary_canonical_associate_matches_orbit_minimum(d, n, same_norm):
+    order = order_of(d, n)
+    for a in ARITH_BOX:
+        for b in ARITH_BOX:
+            x = order.element(a, b)
+            if x.is_zero():
+                continue
+            orbit = [_kind_mul(u, x) for u in units(order)]
+            c, e = min(orbit, key=lambda y: (y[1] < 0, y[0] < 0, abs(y[1]), abs(y[0])))
+            assert canonical_associate(x, same_norm) == order.element(c, e), x
 
 
 def _imaginary_norm_oracle(order, m, box=80):
