@@ -240,27 +240,30 @@ class FactorMultiset:
 class MonoidView:
     """Adapter interface a concrete monoid provides to the generic machinery.
 
-    Elements are canonical representatives, one per associate class; `size` is
-    the magnitude windows are measured against; `key` is a total sort key.
-    `proper_divisors(x)` yields (d, cofactor) pairs with both parts nonunit
-    members; it must be finite and complete for every element it is asked
-    about. `divide(d, x)` returns the cofactor when d | x and None otherwise;
-    a unit cofactor comes back as the identity element, not as None.
-    `elements_up_to(B)` returns an iterable, possibly lazy, of every member
-    of size <= B in the view's window order; window scans stop at their
-    first witness, so that order decides which witness they report.
+    Elements are canonical representatives, one per associate class.
+    - `name` labels the monoid in messages.
+    - `op(a, b)` is the canonical representative of the product.
+    - `divide(d, x)` returns the canonical cofactor when d | x and None
+      otherwise; a unit cofactor (d, x associates) is returned, not None.
+    - `proper_divisors(x)` yields (d, cofactor) pairs with both parts nonunit
+      members; it must be finite and complete for every element it is asked
+      about, so x is an atom exactly when it yields nothing.
+    - `key` is a total sort key.
+    - `elements_up_to(B)` returns an iterable, possibly lazy, of every
+      member the view measures as <= B, in its window order; window scans
+      stop at their first witness, so that order decides which witness
+      they report.
+    - `divides_hint(q, a, b)`, when given, is a cheap filter: False means q
+      certainly does not divide op(a, b).
     """
 
     name: str
-    identity: Any
     op: Callable[[Any, Any], Any]
     divide: Callable[[Any, Any], Any]          # -> cofactor or None
     proper_divisors: Callable[[Any], Iterable[tuple]]
     key: Callable[[Any], Any]
-    size: Callable[[Any], int]
     elements_up_to: Callable[[int], Iterable]
     divides_hint: Optional[Callable[[Any, Any, Any], bool]] = None
-    # divides_hint(q, a, b): False means q certainly does not divide op(a, b)
 
 
 class FactorSession:
@@ -488,11 +491,9 @@ def numerical_monoid_view(*generators: int) -> MonoidView:
 
     return MonoidView(
         name="<" + ",".join(str(g) for g in gens) + ">",
-        identity=0,
         op=lambda a, b: a + b,
         divide=divide,
         proper_divisors=proper_divisors,
         key=lambda x: x,
-        size=lambda x: x,
         elements_up_to=elements_up_to,
     )

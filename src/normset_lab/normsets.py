@@ -270,12 +270,6 @@ def _element_witness(order: QuadraticOrder, m: int, bound: int | None,
 # the normset as a monoid
 
 
-def _neg_unit(order: QuadraticOrder) -> bool:
-    if order.is_imaginary:
-        return False
-    return order_fundamental_unit(order)[1] == -1
-
-
 def normset_monoid_view(ns: NormsetHandle) -> MonoidView:
     """The normset as a MonoidView over integers.
 
@@ -284,9 +278,8 @@ def normset_monoid_view(ns: NormsetHandle) -> MonoidView:
     is 1. Divisibility is normset divisibility: d | m requires the integer
     cofactor to be a member too.
     """
-    order = ns.order
-    neg_unit = _neg_unit(order)
-    signs = (1,) if (order.is_imaginary or neg_unit) else (1, -1)
+    neg_unit = ns.contains(-1).answer == "yes"
+    signs = (1,) if (ns.order.is_imaginary or neg_unit) else (1, -1)
 
     def member(m: int) -> bool:
         return ns.contains(m).answer == "yes"
@@ -325,56 +318,40 @@ def normset_monoid_view(ns: NormsetHandle) -> MonoidView:
 
     return MonoidView(
         name=str(ns),
-        identity=1,
         op=op,
         divide=divide,
         proper_divisors=proper_divisors,
         key=lambda m: (abs(m), m < 0),
-        size=abs,
         elements_up_to=elements_up_to,
         divides_hint=lambda q, a, b: (a * b) % q == 0,
     )
 
 
 def irreducibles_up_to(ns: NormsetHandle, B: int) -> list[int]:
-    """Normset atoms of magnitude <= B: members with no splitting into two
-    members of magnitude >= 2. Needs B >= 2.
+    """Normset atoms of magnitude <= B: the members that the normset view
+    (normset_monoid_view) finds no proper divisor of, i.e. with no splitting
+    into two members of magnitude >= 2. Needs B >= 2.
     """
     if B < 2:
         raise ValueError("atom enumeration needs B >= 2")
-    members = ns.members_up_to(B)
-    memberset = set(members)
-    out = []
-    for m in members:
-        am = abs(m)
-        split = False
-        for k in divisors(am):
-            if k < 2 or k > am // 2:
-                continue
-            for u in (k, -k):
-                if u in memberset and m // u in memberset:
-                    split = True
-                    break
-            if split:
-                break
-        if not split:
-            out.append(m)
-    return out
+    session = FactorSession(normset_monoid_view(ns))
+    return [m for m in ns.members_up_to(B) if session.is_atom(m)]
 
 
 def factor_in_normset(ns: NormsetHandle, m: int) -> set[FactorMultiset]:
     """All factorizations of the member m into normset atoms. Complete:
-    candidate atoms live in the (finite) divisor lattice of m in Z.
+    candidate atoms live in the (finite) divisor lattice of m in Z. A unit
+    member (+-1) has no factorization into atoms and raises ValueError.
     """
     v = ns.contains(m)
     if v.answer == "unknown":
         raise NeedsBound(f"membership of {m} in {ns} undecided within bound")
     if v.answer != "yes":
         raise NotMember(f"{m} is not in {ns}")
-    view = normset_monoid_view(ns)
-    neg_unit = _neg_unit(ns.order)
-    x = abs(m) if neg_unit else m
-    return set(FactorSession(view).factorizations(x))
+    if abs(m) == 1:
+        raise ValueError("factor nonunit members only")
+    x = abs(m) if ns.contains(-1).answer == "yes" else m
+    return set(FactorSession(normset_monoid_view(ns)).factorizations(x))
 
 
 # ---------------------------------------------------------------------------
@@ -460,24 +437,18 @@ def is_saturated(order: QuadraticOrder) -> bool:
 
 def is_strictly_saturated_window(order: QuadraticOrder, B: int) -> Verdict:
     """Search members x | y (integer divisibility, |x|,|y| <= B) whose
-    quotient y/x leaves the normset. First failure wins; a pass is only
-    evidence up to B.
+    quotient y/x leaves the normset, i.e. that the normset view does not
+    divide. First failure wins; a pass is only evidence up to B.
     """
     if B < 4:
         raise ValueError("window bound must be >= 4")
     ns = NormsetHandle(order)
+    view = normset_monoid_view(ns)
     members = ns.members_up_to(B)
     for yi, y in enumerate(members):
         for x in members[: yi + 1]:
-            if y % x:
-                continue
-            q = y // x
-            if abs(q) == 1:
-                ok = q == 1 or _neg_unit(order)
-            else:
-                ok = ns.contains(q).answer == "yes"
-            if not ok:
-                return Verdict("no", (x, y, q), B, "window",
+            if y % x == 0 and view.divide(x, y) is None:
+                return Verdict("no", (x, y, y // x), B, "window",
                                ("strictly_saturated", B))
     return Verdict("yes", None, B, "window", ("strictly_saturated", B))
 

@@ -488,33 +488,16 @@ def elements_of_norm(order: QuadraticOrder, m: int, search_bound: int | None = N
 
 def is_irreducible(x: QuadElem) -> bool:
     """Exact irreducibility test for nonzero nonunits of imaginary orders:
-    enumerate every candidate divisor norm k | N(x), 2 <= k <= N(x)/2, list
-    the elements of that norm, and test exact division.
+    x is irreducible when the element view of its order (element_monoid_view)
+    lists no proper divisor of it. Real orders raise ValueError there.
     """
-    order = x.order
-    if not order.is_imaginary:
-        raise ValueError("irreducibility enumeration needs a finite unit group")
     if x.is_zero() or x.is_unit():
         raise ValueError("irreducibility is about nonzero nonunits")
-    nm = x.norm()
-    for k in divisors(nm):
-        if k < 2 or k > nm // 2:
-            continue
-        for y in elements_of_norm(order, k):
-            if divide_exact(x, y) is not None:
-                return False
-    return True
+    return next(iter(element_monoid_view(x.order).proper_divisors(x)), None) is None
 
 
 def _canonical_key(x: QuadElem) -> tuple:
     return (abs(x.norm()), x.b < 0, x.a < 0, abs(x.b), abs(x.a))
-
-
-def _window_size(x: QuadElem) -> int:
-    """Window magnitude: rational integers count by |m|, everything else by |N|."""
-    if x.b == 0:
-        return abs(x.a)
-    return abs(x.norm())
 
 
 def element_monoid_view(order: QuadraticOrder) -> MonoidView:
@@ -563,12 +546,10 @@ def element_monoid_view(order: QuadraticOrder) -> MonoidView:
 
     return MonoidView(
         name=f"elements of {order}",
-        identity=order.one(),
         op=lambda a, b: canonical_associate(a * b),
         divide=divide,
         proper_divisors=proper_divisors,
         key=_canonical_key,
-        size=_window_size,
         elements_up_to=elements_up_to,
     )
 

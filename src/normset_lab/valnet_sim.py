@@ -401,10 +401,9 @@ class _Table:
             c = tuple(map(sub, x, d))
             return c if c in self.members else None
 
-        return MonoidView(name=str(self.m), identity=self.order[0], divide=divide,
+        return MonoidView(name=str(self.m), divide=divide,
                           op=lambda x, y: tuple(map(add, x, y)), key=self.key,
-                          proper_divisors=proper_divisors, elements_up_to=lambda B: [],
-                          size=lambda v: int(min(length(self.net(v)), 10**9)))
+                          proper_divisors=proper_divisors, elements_up_to=lambda B: [])
 
 
 def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = 32) -> list[ValNet]:

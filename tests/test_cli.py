@@ -329,6 +329,16 @@ def test_valnet_atoms_and_idempotent(capsys, gen_file, seq_file):
     assert code == 0 and rec["covered"] is True
 
 
+def test_normset_factor_of_unit_is_usage_error(capsys):
+    # units are not atoms: a unit member is refused, a non-member -1 is not
+    for d, value in (("-5", "1"), ("10", "-1")):
+        code, out, err = run(capsys, "normset", "factor", "--d", d,
+                             "--value", value, "--format", "json")
+        assert code == 1 and out == "" and "usage error:" in err
+    code, rec, _ = run_json(capsys, "normset", "factor", "--d", "34", "--value", "-1")
+    assert code == 0 and rec["member"] is False
+
+
 def test_valnet_usage_errors(capsys, seq_file):
     code, _, err = run(capsys, "valnet", seq_file, "factor")
     assert code == 1 and "usage error:" in err
@@ -361,6 +371,7 @@ GOLDEN_COMMANDS = {
     "atoms_10": "normset atoms --d 10 --bound 100",
     "atoms_34": "normset atoms --d 34 --bound 100",
     "atoms_97": "normset atoms --d 97 --bound 100",
+    "atoms_13_2": "normset atoms --d 13 --n 2 --bound 60",
     "factor_-10": "normset factor --d -10 --value 196",
     "factor_-5": "normset factor --d -5 --value 36",
     "factor_-41": "normset factor --d -41 --value 2025",
@@ -371,6 +382,8 @@ GOLDEN_COMMANDS = {
     "ufd_34": "ufd --d 34",
     "ufd_-163": "ufd --d -163",
     "saturation_34": "saturation --d 34",
+    "saturation_-14": "saturation --d -14 --bound 100",
+    "saturation_10": "saturation --d 10 --bound 100",
     "hfd_-14": "hfd --d -14",
     "hfd_-14_text": "hfd --d -14 --format text",
     "hfd_-3_2": "hfd --d -3 --n 2",
@@ -378,6 +391,8 @@ GOLDEN_COMMANDS = {
     "hfd_-7_3": "hfd --d -7 --n 3",
     "norm_-3_3": "norm --d -3 --n 3 --elem -3+2w",
     "norm_13_2": "norm --d 13 --n 2 --elem 5-3w",
+    "norm_-5_6": "norm --d -5 --elem 6",
+    "norm_-5_1+w": "norm --d -5 --elem 1+w",
     "member_13_2": "normset member --d 13 --n 2 --value -3",
     "member_6_3": "normset member --d 6 --n 3 --value 10",
     "factor_13_2": "normset factor --d 13 --n 2 --value 36",

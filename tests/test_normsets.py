@@ -26,8 +26,9 @@ from normset_lab import (
     order_of,
     strong_saturation_check,
 )
+from normset_lab.arith import divisors, is_squarefree
 from normset_lab.normsets import Verdict
-from normset_lab.quadratic import exact_real_search_bound
+from normset_lab.quadratic import exact_real_search_bound, order_fundamental_unit
 
 
 def _sorted_sets(facs):
@@ -225,6 +226,49 @@ def test_irreducibles_never_split():
             assert not splits, (d, a, splits)
 
 
+def _atoms_by_split_loop(ns, B):
+    """Atoms by their own split loop: members m, |m| <= B, with no integer
+    divisor u, 2 <= |u| <= |m|/2, such that u and m/u are both members.
+    """
+    members = ns.members_up_to(B)
+    memberset = set(members)
+    return [m for m in members
+            if not any(u in memberset and m // u in memberset
+                       for k in divisors(abs(m)) if 2 <= k <= abs(m) // 2
+                       for u in (k, -k))]
+
+
+def _strict_window_by_unit_test(order, B):
+    """Strict saturation by its own quotient test, with -1 decided by the sign
+    of the fundamental unit: (answer, witness) as the window reports them.
+    """
+    ns = NormsetHandle(order)
+    neg_unit = not order.is_imaginary and order_fundamental_unit(order)[1] == -1
+    members = ns.members_up_to(B)
+    for yi, y in enumerate(members):
+        for x in members[: yi + 1]:
+            if y % x:
+                continue
+            q = y // x
+            ok = (q == 1 or neg_unit) if abs(q) == 1 else ns.contains(q).answer == "yes"
+            if not ok:
+                return "no", (x, y, q)
+    return "yes", None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_atoms_and_strict_window_match_loop_oracles(n):
+    # squarefree -30 < d < 40: atoms at B = 60, strict windows at B = 80
+    for d in range(-29, 40):
+        if d in (0, 1) or not is_squarefree(d):
+            continue
+        order = order_of(d, n)
+        assert irreducibles_up_to(normset_of(order), 60) == \
+            _atoms_by_split_loop(normset_of(order), 60), (d, n)
+        v = is_strictly_saturated_window(order, 80)
+        assert (v.answer, v.witness) == _strict_window_by_unit_test(order, 80), (d, n)
+
+
 # ---------------------------------------------------------------------------
 # factorization inside the normset
 
@@ -251,6 +295,18 @@ def test_factor_rejects_non_member():
     ns = normset_of(order_of(-10))
     with pytest.raises(NotMember):
         factor_in_normset(ns, 3)
+
+
+def test_factor_rejects_unit_member():
+    # units are not atoms; -1 is a norm of Z[sqrt(10)] but not of Z[sqrt(34)]
+    with pytest.raises(ValueError):
+        factor_in_normset(normset_of(order_of(-5)), 1)
+    with pytest.raises(ValueError):
+        factor_in_normset(normset_of(order_of(10)), -1)
+    with pytest.raises(NotMember):
+        factor_in_normset(normset_of(order_of(34)), -1)
+    with pytest.raises(NotMember):
+        factor_in_normset(normset_of(order_of(-5)), -1)
 
 
 def test_factor_real_signed():

@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from math import isqrt
 
-from normset_lab.arith import is_square, is_squarefree
+from normset_lab.arith import divisors, is_square, is_squarefree
 from normset_lab.errors import BadDiscriminant, NeedsBound
-from normset_lab.quadratic import (HALF_KIND, _canonical_key, _window_size,
+from normset_lab.quadratic import (HALF_KIND, _canonical_key,
                                    canonical_associate, divide_exact,
                                    element_monoid_view, elements_of_norm,
                                    exact_real_search_bound, factor_element,
@@ -457,6 +457,32 @@ def test_is_irreducible_gaussian():
         is_irreducible(order_of(2).element(2, 0))
 
 
+def _irreducible_by_norm_loop(x):
+    """Irreducibility by its own divisor loop: no element of any norm k | N(x),
+    2 <= k <= N(x)/2, divides x exactly.
+    """
+    nm = x.norm()
+    return not any(divide_exact(x, y) is not None
+                   for k in divisors(nm) if 2 <= k <= nm // 2
+                   for y in elements_of_norm(x.order, k))
+
+
+def test_is_irreducible_matches_norm_loop():
+    # every nonzero nonunit a + b*w, |a| <= 8, |b| <= 5, of the imaginary
+    # orders of squarefree -40 < d < 0, n = 1..3
+    for d in range(-39, 0):
+        if not is_squarefree(d):
+            continue
+        for n in (1, 2, 3):
+            order = order_of(d, n)
+            for a in range(-8, 9):
+                for b in range(-5, 6):
+                    x = order.element(a, b)
+                    if x.is_zero() or x.is_unit():
+                        continue
+                    assert is_irreducible(x) == _irreducible_by_norm_loop(x), (d, n, a, b)
+
+
 def test_factor_element_gaussian_unique():
     o = order_of(-1)
     facts = factor_element(o, o.element(10, 0))
@@ -504,6 +530,13 @@ def test_element_window_includes_integers_by_magnitude():
     assert any(abs(x.norm()) == 15 and x.b != 0 for x in window)
     assert all(abs(x.a) <= 20 if x.b == 0 else abs(x.norm()) <= 20
                for x in window)
+
+
+def _window_size(x):
+    """Window magnitude: rational integers count by |m|, everything else by |N|."""
+    if x.b == 0:
+        return abs(x.a)
+    return abs(x.norm())
 
 
 def _scanned_window(order, bound):

@@ -1,7 +1,8 @@
 """Smoke tests for the scripts in scripts/: each runs in its own process.
 
 The sequence-domain demo is deterministic (its random draws are seeded), so
-its output is compared byte for byte with tests/golden.
+its output is compared byte for byte with tests/golden, as is the normset
+explorer's on Z[sqrt(10)].
 """
 
 import os
@@ -34,6 +35,11 @@ def test_normset_explorer():
     assert out.startswith("order Z[sqrt(-5)], discriminant -20\n")
     assert "36: 2 factorizations, lengths [2], [(4, 9), (6, 6)]" in out
     assert "UFD: False" in out
+
+
+def test_normset_explorer_matches_golden():
+    out = _run("scripts/normset_explorer.py", "10", "--bound", "60")
+    assert out == (GOLDEN / "normset_explorer_10.txt").read_text(encoding="utf-8")
 
 
 def test_sequence_domain_demo_matches_golden():
