@@ -40,14 +40,14 @@ from .quadratic import (QuadElem, QuadraticField, QuadraticOrder,
                         factor_element, fundamental_unit, is_irreducible,
                         norm_plus_unit, order_fundamental_unit, order_of,
                         parse_element, units)
-from .valnet_sim import (DivisorCount, EpsVal, IndexSet, MaxSupport, NetMonoid,
+from .valnet_sim import (DivisorCount, EpsVal, IndexSet, NetMonoid,
                          SearchOutcome, ValNet, S_b, accp_chain, bfd_bound,
                          comaximal_family, divides, e_net, eps_add,
                          find_atomic_factorization, finite_cover_check,
                          finite_indices, ffd_window, generated_monoid,
                          ideal_norm, ideal_norm_product_check,
                          idempotent_cover_check, inf_S_b, length,
-                         load_net_monoid, make_net, max_of, monoid_divisors,
+                         load_net_monoid, make_net, monoid_divisors,
                          net_add, net_factorizations, net_leq, net_lt,
                          net_sub, omega_indices, omega_net, parse_net,
                          parse_value, q_net, sequence_domain, zero_net)

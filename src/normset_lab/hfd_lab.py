@@ -27,13 +27,12 @@ from typing import Any
 from .arith import is_squarefree
 from .class_groups import class_group, class_number
 from .errors import BadDiscriminant, WitnessSearchExhausted
-from .monoid_core import WindowVerdict, davenport, is_hfm_window
+from .monoid_core import FactorSession, WindowVerdict, davenport, is_hfm_window
 from .quadratic import (
     QuadraticOrder,
     canonical_associate,
     element_monoid_view,
     factor_element,
-    is_irreducible,
     order_of,
 )
 
@@ -136,10 +135,12 @@ def order_hfd_witness(d: int, n: int) -> HfdVerdict:
         return HfdVerdict(order, "not_hfd", (short, long_), x, "direct_window")
 
     w = order.element(n, 1) if d == -1 else order.element(0, 1)
-    if not is_irreducible(w):
+    # one session: factoring N(w) reuses the divisor norms the atom test solved
+    session = FactorSession(element_monoid_view(order))
+    if not session.is_atom(canonical_associate(w)):
         raise WitnessSearchExhausted(f"{w} unexpectedly splits in {order}")
     elem = canonical_associate(order.element(w.norm(), 0))
-    facts = factor_element(order, elem)
+    facts = factor_element(order, elem, session)
     short = min(facts, key=len)
     long_ = max(facts, key=len)
     if short.length == long_.length:

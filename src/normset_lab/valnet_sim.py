@@ -562,17 +562,14 @@ def accp_chain(m: NetMonoid, b: ValNet, k: int, depth: int = 32) -> list[ValNet]
         while len(chain) < k:
             if cur.tail > 0:
                 # strip one unit at the first tail index beyond the support
-                nxt_idx = max([i for i in cur.support_indices()] + [0]) + 1
-                step = e_net(m.index_set, nxt_idx)
+                nxt_idx = max([*cur.support_indices(), 0]) + 1
             else:
-                pos = [i for i in cur.support_indices() if cur.value_at(i) > 0]
-                if not pos and cur.at_infinity == 0:
+                pos = [i for i, v in cur.support if v > 0]
+                if not pos:
                     return None
-                step = e_net(m.index_set, pos[0]) if pos else None
-                if step is None:
-                    return None
-            cur = net_sub(cur, step)
-            if cur is None or cur.is_zero:
+                nxt_idx = pos[0]
+            cur = net_sub(cur, e_net(m.index_set, nxt_idx))
+            if cur.is_zero:
                 return None
             chain.append(cur)
         return chain
@@ -581,75 +578,33 @@ def accp_chain(m: NetMonoid, b: ValNet, k: int, depth: int = 32) -> list[ValNet]
         return chain
     t = _Table(m, b, depth).require()
 
-    def extend(cur, need, seen):
+    def extend(cur, need):
+        # each d is strictly below cur, so the chain never repeats a member
         if need == 0:
             return []
         for d in sorted(t.divisors(cur), key=t.key):
-            if d == cur or d in seen:
+            if d == cur:
                 continue
-            rest = extend(d, need - 1, seen | {d})
+            rest = extend(d, need - 1)
             if rest is not None:
                 return [d] + rest
         return None
 
-    bv = t.vec(b)
-    tail = extend(bv, k - 1, {bv})
+    tail = extend(t.vec(b), k - 1)
     return None if tail is None else chain + [t.net(d) for d in tail]
 
 
 # ---------------------------------------------------------------------------
-# supports, covers, counting
-
-
-@dataclass(frozen=True)
-class MaxSupport:
-    """The index region where a net is positive. cofinite=False: exactly
-    the `positive` indices. cofinite=True: every finite index except the
-    listed `excluded` zeros. at_infinity flags the infinite point.
-    """
-
-    positive: tuple = ()
-    excluded: tuple = ()
-    cofinite: bool = False
-    at_infinity: bool = False
-
-    def covers(self, idx) -> bool:
-        if idx == INF_INDEX:
-            return self.at_infinity
-        if self.cofinite:
-            return idx not in self.excluded
-        return idx in self.positive
-
-
-def max_of(b: ValNet) -> MaxSupport:
-    if b.tail > 0:
-        return MaxSupport(
-            excluded=tuple(i for i, v in b.support if v == 0),
-            positive=tuple(i for i, v in b.support if v > 0),
-            cofinite=True,
-            at_infinity=b.at_infinity > 0,
-        )
-    return MaxSupport(
-        positive=tuple(i for i, v in b.support if v > 0),
-        cofinite=False,
-        at_infinity=b.at_infinity > 0,
-    )
-
-
-def _disjoint(x: MaxSupport, y: MaxSupport) -> bool:
-    if (x.cofinite and y.cofinite) or (x.at_infinity and y.at_infinity):
-        return False
-    if x.cofinite:
-        x, y = y, x
-    if y.cofinite:
-        return all(i in y.excluded for i in x.positive)
-    return not set(x.positive) & set(y.positive)
+# comaximal families, covers, counting
 
 
 def comaximal_family(m: NetMonoid, b: ValNet, k: int,
                      depth: int = 16) -> list[ValNet] | None:
     """k nonunit divisors of b with pairwise disjoint positive regions, or
-    None if the (depth-limited) divisor pool cannot supply them.
+    None if the (depth-limited) divisor pool cannot supply them. On a
+    generated monoid two divisors are disjoint when no table coordinate is
+    positive in both; the tail and infinity coordinates stand for the
+    cofinite and infinite parts of the regions.
     """
     if k < 1:
         return None
@@ -659,21 +614,21 @@ def comaximal_family(m: NetMonoid, b: ValNet, k: int,
         if len(idxs) < k:
             return None
         return [e_net(m.index_set, i) for i in idxs[:k]]
-    pool = monoid_divisors(m, b, depth)
-    sups = [max_of(d) for d in pool]
+    t = _Table(m, b, depth).require()
+    pool = sorted(t.divisors(t.vec(b)), key=t.key)
 
     def pick(start, acc):
         if len(acc) == k:
             return acc
         for j in range(start, len(pool)):
-            if all(_disjoint(sups[j], sups[i]) for i in acc):
-                got = pick(j + 1, acc + [j])
+            if not any(any(map(min, pool[j], d)) for d in acc):
+                got = pick(j + 1, acc + [pool[j]])
                 if got is not None:
                     return got
         return None
 
     got = pick(0, [])
-    return None if got is None else [pool[j] for j in got]
+    return None if got is None else [t.net(d) for d in got]
 
 
 def finite_cover_check(m: NetMonoid, b: ValNet, candidate: list,
@@ -689,26 +644,24 @@ def finite_cover_check(m: NetMonoid, b: ValNet, candidate: list,
         if not b.index_set.valid_index(idx):
             raise ValueError(f"{idx!r} is not an index here")
     if m.kind == "sequence_domain":
-        hi = max([i for i in b.support_indices() if isinstance(i, int)] + [0])
-        hi = max(hi, max([i for i in cand if isinstance(i, int)] + [0])) + depth
+        hi = max([*b.support_indices(), *(cand - {INF_INDEX}), 0]) + depth
         for i in range(1, hi + 1):
             if b.value_at(i) > 0 and i not in cand:
                 return False  # e_i divides b and escapes every candidate
         return True
-    for d in monoid_divisors(m, b, depth):
-        if not any(d.value_at(i) > 0 for i in cand):
-            return False
-    return True
+    t = _Table(m, b, depth).require()
+    # over omega plus a point, an index off the labels reads the tail column
+    cols = {t.labels.index(i) if i in t.labels else len(t.labels) - 2 for i in cand}
+    return all(any(d[c] > 0 for c in cols) for d in t.divisors(t.vec(b)))
 
 
 def idempotent_cover_check(m: NetMonoid) -> bool:
     """Every member positive at a dense index must be positive at some
     discrete index. Exact: sums inherit positivity, so checking the atoms
-    settles every member; in the sequence domain a positive value at the
-    (possibly dense) infinite point forces a positive tail.
+    settles every member. The sequence domain declares no atoms and holds:
+    a positive value at the (possibly dense) infinite point forces a
+    positive tail.
     """
-    if m.kind == "sequence_domain":
-        return True
     iset = m.index_set
     dense = [i for i in iset.labels if iset.tag_of(i) == DENSE]
     disc = [i for i in iset.labels if iset.tag_of(i) == DISCRETE]
@@ -803,9 +756,7 @@ def ideal_norm_product_check(m: NetMonoid, gens_i: list[ValNet],
     keys = set(ni) | set(nj) | set(np_)
 
     def at(n, k):
-        if k in n:
-            return n[k]
-        return n["inf" if k == "inf" else "tail"]
+        return n.get(k, n["tail"])
 
     for k in keys:
         if k == "inf":

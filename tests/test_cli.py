@@ -403,12 +403,26 @@ GOLDEN_COMMANDS = {
     "valnet_accp": "valnet m2.net accp M1:40,M2:40 3",
     "valnet_divisors": "valnet m2.net divisors M1:6,M2:4",
     "valnet_factor": "valnet seq.net factor 1:2,3:3",
+    "valnet_seq_comax": "valnet seq.net comax 1:2,3:3 2",
+    "valnet_seq_cover": "valnet seq.net cover w1 2,3,4",
+    "valnet_seq_accp": "valnet seq.net accp w1 5",
+    "valnet_seq_idempotent": "valnet seq.net idempotent",
+    "valnet_comax": "valnet m2.net comax M1:4,M2:4 2",
+    "valnet_cover": "valnet m2.net cover M1:4,M2:4 M1",
+    "valnet_sb": "valnet m2.net sb M1:6,M2:4",
+    "valnet_omega_comax": "valnet omega.net comax 1:2,2:1,tail:1 3",
+    "valnet_omega_cover": "valnet omega.net cover 1:2,2:1,tail:1 1,2,9",
+    "valnet_omega_cover_inf": "valnet omega.net cover 1:2,2:1,tail:1 1,2,inf",
 }
 
 
 def _golden_argv(cmd: str) -> list[str]:
     argv = [str(GOLDEN_CLI / t) if t.endswith(".net") else t for t in cmd.split()]
     return argv if "--format" in argv else argv + ["--format", "json"]
+
+
+def test_every_golden_record_has_a_command():
+    assert {p.stem for p in GOLDEN_CLI.glob("*.out")} == set(GOLDEN_COMMANDS)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))

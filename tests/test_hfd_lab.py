@@ -144,15 +144,15 @@ def test_order_witness_exception_pair_reports_failed_window(monkeypatch):
 
 
 def test_order_witness_split_generator_raises(monkeypatch):
-    monkeypatch.setattr(hfd_lab, "is_irreducible", lambda x: False)
-    with pytest.raises(WitnessSearchExhausted):
+    monkeypatch.setattr(hfd_lab.FactorSession, "is_atom", lambda self, x: False)
+    with pytest.raises(WitnessSearchExhausted, match="unexpectedly splits"):
         order_hfd_witness(-1, 2)
 
 
 def test_order_witness_single_length_raises(monkeypatch):
     monkeypatch.setattr(hfd_lab, "factor_element",
-                        lambda order, x: (FactorMultiset((x,)),))
-    with pytest.raises(WitnessSearchExhausted):
+                        lambda order, x, session: (FactorMultiset((x,)),))
+    with pytest.raises(WitnessSearchExhausted, match="single-length"):
         order_hfd_witness(-7, 2)
 
 

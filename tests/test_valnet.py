@@ -2,6 +2,7 @@
 factorization outcomes, covers, and the eps-flagged ideal norms.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import inf
@@ -38,7 +39,6 @@ from normset_lab import (
     length,
     load_net_monoid,
     make_net,
-    max_of,
     monoid_divisors,
     net_add,
     net_factorizations,
@@ -366,15 +366,55 @@ def test_accp_chain_of_one_needs_no_enumeration():
 # supports, comaximal families, covers
 
 
-def test_max_of():
-    mb = max_of(B23)
-    assert not mb.cofinite and mb.positive == (1, 3)
-    assert mb.covers(1) and mb.covers(3) and not mb.covers(2)
-    assert not mb.covers(INF_INDEX)
-    mw = max_of(W1)
-    assert mw.cofinite and mw.excluded == (1,)
-    assert mw.covers(5) and not mw.covers(1) and mw.covers(INF_INDEX)
-    assert max_of(fnet(2, 0)).positive == ("M1",)
+@dataclass(frozen=True)
+class MaxSupport:
+    """Oracle: the index region where a net is positive. cofinite=False:
+    exactly the `positive` indices. cofinite=True: every finite index except
+    the listed `excluded` zeros. at_infinity flags the infinite point.
+    """
+
+    positive: tuple = ()
+    excluded: tuple = ()
+    cofinite: bool = False
+    at_infinity: bool = False
+
+
+def max_of(b: ValNet) -> MaxSupport:
+    return MaxSupport(positive=tuple(i for i, v in b.support if v > 0),
+                      excluded=tuple(i for i, v in b.support if v == 0) if b.tail > 0 else (),
+                      cofinite=b.tail > 0, at_infinity=b.at_infinity > 0)
+
+
+def _disjoint(x: MaxSupport, y: MaxSupport) -> bool:
+    if (x.cofinite and y.cofinite) or (x.at_infinity and y.at_infinity):
+        return False
+    if x.cofinite:
+        x, y = y, x
+    if y.cofinite:
+        return all(i in y.excluded for i in x.positive)
+    return not set(x.positive) & set(y.positive)
+
+
+def _comax_oracle(m, b, k, depth=16):
+    """Oracle: k pairwise disjoint divisors from the monoid_divisors pool."""
+    pool = monoid_divisors(m, b, depth)
+
+    def pick(start, acc):
+        if len(acc) == k:
+            return acc
+        for j in range(start, len(pool)):
+            if all(_disjoint(max_of(pool[j]), max_of(d)) for d in acc):
+                got = pick(j + 1, acc + [pool[j]])
+                if got is not None:
+                    return got
+        return None
+    return pick(0, []) if k >= 1 else None
+
+
+def _cover_oracle(m, b, candidate, depth=32):
+    """Oracle: every divisor from monoid_divisors is positive at a candidate."""
+    return all(any(d.value_at(i) > 0 for i in candidate)
+               for d in monoid_divisors(m, b, depth))
 
 
 def test_comaximal_sequence():
@@ -385,10 +425,9 @@ def test_comaximal_sequence():
     assert len(fam5) == 5
     for d in fam5:
         assert divides(d, W1)
-    sups = [max_of(d) for d in fam5]
-    for i, x in enumerate(sups):
-        for y in sups[i + 1:]:
-            assert not (set(x.positive) & set(y.positive))
+    for i, x in enumerate(fam5):
+        for y in fam5[i + 1:]:
+            assert _disjoint(max_of(x), max_of(y))
 
 
 def test_comaximal_generated():
@@ -526,8 +565,8 @@ def _case(iset, atoms, mults, nudge, depth):
 @st.composite
 def small_omega_generated(draw):
     """A generated monoid over omega plus a point, with atoms on indices
-    1-3 that may carry a tail and a (dense) value at infinity, a nonzero
-    net near its members and a search depth."""
+    1-3 that may carry a tail and a (dense) value at infinity, which need
+    not follow the tail, a nonzero net near its members and a search depth."""
     tag = draw(st.sampled_from((DISCRETE, DENSE)))
     iset = omega_indices(tag)
     at_inf = st.sampled_from((0, 1) if tag == DISCRETE else (0, Fraction(1, 2), Fraction(1, 3)))
@@ -535,7 +574,7 @@ def small_omega_generated(draw):
     for _ in range(draw(st.integers(1, 3))):
         tail = draw(st.integers(0, 1))
         vals = draw(st.dictionaries(st.integers(1, 3), st.integers(0, 2), max_size=2))
-        g = make_net(iset, vals, tail, tail + draw(at_inf))
+        g = make_net(iset, vals, tail, draw(st.sampled_from((tail, 0))) + draw(at_inf))
         atoms.append(g if not g.is_zero else e_net(iset, 1))
     mults = draw(st.lists(st.integers(0, 3), min_size=len(atoms), max_size=len(atoms)))
     b = reduce(net_add, [g for g, k in zip(atoms, mults) for _ in range(k)], zero_net(iset))
@@ -570,6 +609,52 @@ def test_generated_over_omega_sees_every_index():
                                                         make_net(OMEGA, {1: 2})]
     assert monoid_divisors(m, make_net(OMEGA, {1: 2, 5: 1})) == []
     assert net_factorizations(m, e_net(OMEGA, 5)) == ()
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DepthExhausted:
+        return DepthExhausted
+
+
+# two atoms positive from index 2 (resp. 4) on, but zero at infinity: only
+# the tail coordinate shows that they overlap
+TAILED = generated_monoid(OMEGA, [make_net(OMEGA, {1: 0}, 1, 0),
+                                  make_net(OMEGA, {1: 0, 2: 0, 3: 0}, 1, 0)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(small_generated(), small_omega_generated()),
+       cand=st.lists(st.sampled_from(("L0", "L1", "L2", 1, 2, 3, 4, 6, 9, INF_INDEX)),
+                     max_size=4))
+@example(case=(TAILED, reduce(net_add, TAILED.atoms), 8), cand=[7])
+def test_comax_and_cover_agree_with_support_oracles(case, cand):
+    # atoms of small_omega_generated sit on indices 1-3 (5 at most for b),
+    # so 4, 6 and 9 are off every support and read the tail
+    m, b, depth = case
+    cand = [i for i in cand if m.index_set.valid_index(i)]
+    for k in (1, 2, 3):
+        assert (_outcome(comaximal_family, m, b, k, depth)
+                == _outcome(_comax_oracle, m, b, k, depth))
+    assert (_outcome(finite_cover_check, m, b, cand, depth)
+            == _outcome(_cover_oracle, m, b, cand, depth))
+
+
+def test_comax_and_cover_build_one_table_and_list_no_divisors(monkeypatch):
+    builds, listed = [], []
+
+    class CountingTable(vn._Table):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(vn, "_Table", CountingTable)
+    monkeypatch.setattr(vn, "monoid_divisors", lambda *a: listed.append(a))
+    assert comaximal_family(M2, fnet(4, 4), 2) == [fnet(2, 0), fnet(0, 2)]
+    assert len(builds) == 1
+    assert not finite_cover_check(M2, fnet(4, 4), ["M1"])
+    assert len(builds) == 2 and listed == []
 
 
 def _check_table_against_bfs(m, b, depth):
