@@ -447,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, d=True, n=True, bound=True)
     p.set_defaults(handler=_cmd_elasticity)
 
-    p = sub.add_parser("davenport", help="Davenport constant by brute force")
+    p = sub.add_parser("davenport", help="Davenport constant: Olson's formula for "
+                       "p-groups and rank <= 2, a search otherwise")
     p.add_argument("--group", required=True,
                    help="finite abelian group, e.g. '3,3' or 'Z_2 x Z_4'")
     _add_common(p)

@@ -89,7 +89,10 @@ def carlitz_verdict(order: QuadraticOrder,
 
 def elasticity_via_davenport(order: QuadraticOrder) -> Fraction:
     """Exact elasticity of a maximal order: 1 for class number 1, else half
-    the Davenport constant of the class group.
+    the Davenport constant of the class group. Exact at any class number
+    when the class group is a p-group or has rank <= 2 (Olson's formula);
+    any other class group goes to the Davenport search and raises
+    CapExceeded above order 64.
     """
     if not order.is_maximal:
         raise ValueError("the Davenport formula is for maximal orders")

@@ -112,44 +112,79 @@ def davenport_witness(g: AbelianGroup, cap: int = 64,
     group elements has a nonempty zero-sum sub-multiset, and witness is a
     zero-sum-free multiset of the maximal size D-1.
 
-    Search order: grow zero-sum-free multisets one element at a time (elements
+    p-groups and groups of rank <= 2 are exact at any order: Olson (J. Number
+    Theory 1, 1969) proved D = 1 + sum(d_i - 1) for them, and the basis
+    sequence e_1^(d_1-1) ... e_r^(d_r-1), sorted ascending, is the witness.
+    `cap` and `state_budget` do not apply there. Every other group (rank >= 3
+    and not a p-group, such as Z_2 x Z_2 x Z_6) goes to the frontier search,
+    which raises CapExceeded above order `cap` and SearchBudgetExceeded past
+    `state_budget` frontier states.
+    """
+    fs = g.invariant_factors
+    if len(fs) <= 2 or _is_prime_power(g.exponent):
+        basis = [tuple(int(i == k) for i in range(len(fs))) for k in range(len(fs))]
+        witness = sorted(e for e, d in zip(basis, fs) for _ in range(d - 1))
+        return 1 + sum(d - 1 for d in fs), tuple(witness)
+    return _davenport_search(g, cap, state_budget)
+
+
+def _is_prime_power(n: int) -> bool:
+    # the scan to the least prime p costs no more than the witness, which
+    # holds at least p - 1 elements
+    p = next(q for q in range(2, n + 1) if n % q == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def _davenport_search(g: AbelianGroup, cap: int = 64,
+                      state_budget: int = 200_000) -> tuple[int, tuple]:
+    """Davenport constant of any g of order <= cap, by search.
+
+    Grow zero-sum-free multisets one element at a time (elements
     nondecreasing to enumerate multisets once); D is the first size where no
     extension survives. States with equal subset-sum sets extend identically,
     so the frontier is deduplicated on (sums, last element) -- an optimization
     only, the frontier still covers every viable multiset profile. The
     frontier can still blow up exponentially near the cap, so its size is
     budgeted rather than trusted.
+
+    Element k is the k-th tuple of g.elements(), i.e. the mixed-radix integer
+    of its coordinates, and a subset-sum set is the bitmask of its elements.
+    Adding c in coordinate i rotates each block of that coordinate: the bits
+    whose coordinate stays below d_i move up by c * stride_i, the others wrap
+    down by (d_i - c) * stride_i.
     """
     if g.order > cap:
         raise CapExceeded(f"group order {g.order} exceeds brute-force cap {cap}", cap=cap)
-    zero = g.zero()
-    elems = [e for e in g.elements() if e != zero]
-    if not elems:
+    fs, n = g.invariant_factors, g.order
+    if n == 1:
         return 1, ()
-    frontier: dict[tuple[frozenset, int], tuple] = {}
-    for i, e in enumerate(elems):
-        frontier.setdefault((frozenset([e]), i), (e,))
+    coords = list(g.elements())
+    strides = [prod(fs[i + 1:]) for i in range(len(fs))]
+    full = (1 << n) - 1
+
+    def rotation(i, c):
+        low = sum(1 << k for k, x in enumerate(coords) if x[i] < fs[i] - c)
+        return low, c * strides[i], full ^ low, (fs[i] - c) * strides[i]
+
+    moves = [[rotation(i, c) for i, c in enumerate(x) if c] for x in coords]
+    neg = [sum(a * s for a, s in zip(g.neg(x), strides)) for x in coords]
+    frontier: dict[tuple[int, int], tuple] = {(1 << k, k): (k,) for k in range(1, n)}
     size = 1
     last = frontier
     while frontier:
-        nxt: dict[tuple[frozenset, int], tuple] = {}
+        nxt: dict[tuple[int, int], tuple] = {}
         for (sums, i), rep in frontier.items():
-            for j in range(i, len(elems)):
-                e = elems[j]
-                new_sums = {e}
-                ok = True
-                for s in sums:
-                    t = g.add(s, e)
-                    if t == zero:
-                        ok = False
-                        break
-                    new_sums.add(t)
-                if not ok:
-                    continue
-                new_sums.update(sums)
-                key = (frozenset(new_sums), j)
+            for j in range(i, n):
+                if sums >> neg[j] & 1:
+                    continue  # -e_j is already a subset sum
+                shifted = sums
+                for low, up, high, down in moves[j]:
+                    shifted = (shifted & low) << up | (shifted & high) >> down
+                key = (sums | shifted | 1 << j, j)
                 if key not in nxt:
-                    nxt[key] = rep + (e,)
+                    nxt[key] = rep + (j,)
             if len(nxt) > state_budget:
                 raise SearchBudgetExceeded(
                     f"davenport frontier for {g} exceeded {state_budget} "
@@ -157,8 +192,7 @@ def davenport_witness(g: AbelianGroup, cap: int = 64,
                     partial=size)
         last, frontier = frontier, nxt
         size += 1
-    witness = next(iter(last.values()))
-    return size, witness
+    return size, tuple(coords[k] for k in next(iter(last.values())))
 
 
 def davenport(g: AbelianGroup, cap: int = 64) -> int:

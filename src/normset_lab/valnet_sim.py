@@ -660,15 +660,15 @@ def idempotent_cover_check(m: NetMonoid) -> bool:
     discrete index. Exact: sums inherit positivity, so checking the atoms
     settles every member. The sequence domain declares no atoms and holds:
     a positive value at the (possibly dense) infinite point forces a
-    positive tail.
+    positive tail. The atoms are read in the member table's coordinates, so
+    over omega plus a point the tail and the infinite point count too.
     """
-    iset = m.index_set
-    dense = [i for i in iset.labels if iset.tag_of(i) == DENSE]
-    disc = [i for i in iset.labels if iset.tag_of(i) == DISCRETE]
-    for g in m.atoms:
-        if any(g.value_at(i) > 0 for i in dense):
-            if not any(g.value_at(i) > 0 for i in disc):
-                return False
+    t = _Table(m, m.zero(), 0)
+    tags = [m.index_set.tag_of(i) for i in t.labels]
+    for g in map(t.vec, m.atoms):
+        positive = {tag for tag, v in zip(tags, g) if v > 0}
+        if DENSE in positive and DISCRETE not in positive:
+            return False
     return True
 
 

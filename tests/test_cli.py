@@ -186,10 +186,23 @@ def test_davenport_record(capsys):
 
 
 def test_davenport_budget_exhaustion(capsys):
+    # Z_8 x Z_8 once exhausted the search; Olson's formula now answers it
     code, rec, _ = run_json(capsys, "davenport", "--group", "8,8")
+    assert code == 0
+    assert rec["davenport"] == 15
+    assert len(rec["witness"]) == 14
+    # rank 3 and not a p-group: the search runs and exhausts its budget
+    code, rec, _ = run_json(capsys, "davenport", "--group", "2,2,2,6")
     assert code == 2
     assert rec["answer"] == "unknown"
     assert rec["reason"] == "SearchBudgetExceeded"
+
+
+def test_davenport_cap_outside_olson(capsys):
+    code, rec, _ = run_json(capsys, "davenport", "--group", "2,6,6")
+    assert code == 2
+    assert rec["answer"] == "unknown"
+    assert rec["reason"] == "CapExceeded"
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +412,11 @@ GOLDEN_COMMANDS = {
     "elasticity_-14": "elasticity --d -14",
     "classify_hfd": "classify-hfd",
     "davenport_2_4": "davenport --group 2,4",
+    "davenport_16": "davenport --group 16",
+    "davenport_2_8": "davenport --group 2,8",
+    "davenport_2_2_2_2_2": "davenport --group 2,2,2,2,2",
+    "davenport_8_8": "davenport --group 8,8",
+    "elasticity_-10007": "elasticity --d -10007 --bound 50",
     "valnet_member": "valnet m2.net member M1:40,M2:40",
     "valnet_accp": "valnet m2.net accp M1:40,M2:40 3",
     "valnet_divisors": "valnet m2.net divisors M1:6,M2:4",
@@ -407,6 +425,7 @@ GOLDEN_COMMANDS = {
     "valnet_seq_cover": "valnet seq.net cover w1 2,3,4",
     "valnet_seq_accp": "valnet seq.net accp w1 5",
     "valnet_seq_idempotent": "valnet seq.net idempotent",
+    "valnet_omega_dense_idempotent": "valnet omega_dense.net idempotent",
     "valnet_comax": "valnet m2.net comax M1:4,M2:4 2",
     "valnet_cover": "valnet m2.net cover M1:4,M2:4 M1",
     "valnet_sb": "valnet m2.net sb M1:6,M2:4",

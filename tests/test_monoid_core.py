@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from normset_lab.errors import CapExceeded, SearchBudgetExceeded
 from normset_lab.monoid_core import (AbelianGroup, FactorMultiset, FactorSession,
-                                     davenport, davenport_witness,
+                                     _davenport_search, davenport,
+                                     davenport_witness,
                                      elasticity_window,
                                      invariant_factors_from_table,
                                      is_hfm_window, is_length_factorial_window,
@@ -118,10 +119,70 @@ def test_davenport_known_values():
 
 
 def test_davenport_cap_and_budget():
+    # Olson's formula holds at any order; the cap binds only the search
+    assert davenport(AbelianGroup.from_cyclic([7, 11])) == 77
     with pytest.raises(CapExceeded):
-        davenport(AbelianGroup.from_cyclic([7, 11]))
+        davenport(AbelianGroup((2, 6, 6)))
     with pytest.raises(SearchBudgetExceeded):
-        davenport_witness(AbelianGroup((8, 8)), state_budget=1000)
+        davenport_witness(AbelianGroup((2, 2, 6)), state_budget=1000)
+
+
+def _chains(limit, prefix=(), order=1):
+    """Every invariant-factor chain of order <= limit."""
+    yield prefix
+    d = prefix[-1] if prefix else 2
+    while order * d <= limit:
+        if not prefix or d % prefix[-1] == 0:
+            yield from _chains(limit, prefix + (d,), order * d)
+        d += 1
+
+
+def test_group_chains_cover_every_small_group():
+    # the abelian groups of orders 1..16 number 1,1,1,2,1,1,1,3,2,1,1,2,1,1,1,5
+    assert len(list(_chains(16))) == 25
+
+
+@pytest.mark.parametrize("factors", list(_chains(16)) + [(2, 2, 2, 2, 2)])
+def test_olson_closed_form_matches_search(factors):
+    # every group of order <= 16 is a p-group or has rank <= 2
+    g = AbelianGroup(factors)
+    assert davenport_witness(g) == _davenport_search(g)
+
+
+def _zero_sum_free(g: AbelianGroup, seq) -> bool:
+    """Subset-sum set DP: at most |G| sums are carried from step to step."""
+    sums: set = set()
+    for e in seq:
+        new = {g.add(s, e) for s in sums} | {e}
+        if g.zero() in new:
+            return False
+        sums |= new
+    return True
+
+
+@pytest.mark.parametrize("factors,D", [((8, 8), 15), ((77,), 77),
+                                       ((2, 32), 33), ((3, 9), 11)])
+def test_olson_witness_beyond_the_search_cap(factors, D):
+    g = AbelianGroup(factors)
+    got, wit = davenport_witness(g)
+    assert got == D and len(wit) == D - 1
+    assert _zero_sum_free(g, wit)
+
+
+def test_zero_sum_free_dp_rejects_zero_sums():
+    g = AbelianGroup((2, 4))
+    assert not _zero_sum_free(g, [(0, 1), (0, 3)])
+    assert not _zero_sum_free(g, [(1, 0), (0, 2), (1, 2)])
+    assert _zero_sum_free(g, [(0, 1), (0, 1), (0, 1), (1, 0)])
+
+
+def test_davenport_search_outside_olson():
+    # rank 3 and not a p-group: only the search answers; its first-inserted
+    # witness is the one the frozenset-keyed frontier found
+    g = AbelianGroup((2, 2, 6))
+    assert davenport_witness(g) == _davenport_search(g) == (
+        8, ((0, 0, 1),) * 5 + ((0, 1, 0), (1, 0, 0)))
+    assert _zero_sum_free(g, davenport_witness(g)[1])
 
 
 # ---------------------------------------------------------------------------

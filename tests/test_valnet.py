@@ -60,6 +60,7 @@ OMEGA = omega_indices()
 SEQ = sequence_domain()
 FIN = finite_indices("M1", "M2")
 MIX = finite_indices("M1:dense", "M2:discrete")
+DENSE_POINT = omega_indices(DENSE)
 
 
 def fnet(a, b):
@@ -461,6 +462,11 @@ def test_idempotent_cover():
     assert not idempotent_cover_check(dense_only)
     disc_only = generated_monoid(MIX, [make_net(MIX, {"M2": 1})])
     assert idempotent_cover_check(disc_only)
+    # over omega plus a dense point: positive only at infinity, then also in the tail
+    inf_only = generated_monoid(DENSE_POINT, [make_net(DENSE_POINT, {}, 0, Fraction(1, 2))])
+    assert not idempotent_cover_check(inf_only)
+    tailed = generated_monoid(DENSE_POINT, [make_net(DENSE_POINT, {}, 1, Fraction(1, 2))])
+    assert idempotent_cover_check(tailed)
 
 
 def test_ffd_window():
@@ -609,6 +615,30 @@ def test_generated_over_omega_sees_every_index():
                                                         make_net(OMEGA, {1: 2})]
     assert monoid_divisors(m, make_net(OMEGA, {1: 2, 5: 1})) == []
     assert net_factorizations(m, e_net(OMEGA, 5)) == ()
+
+
+def _idempotent_oracle(m):
+    """Every atom positive at a dense index is positive at a discrete one,
+    read index by index: over omega plus a point, indices 1 to two past the
+    last support index (the tail shows there) and infinity."""
+    iset = m.index_set
+    if iset.kind == "finite":
+        indices = list(iset.labels)
+    else:
+        top = max((i for g in m.atoms for i in g.support_indices()), default=0)
+        indices = [*range(1, top + 3), INF_INDEX]
+    for g in m.atoms:
+        tags = {iset.tag_of(i) for i in indices if g.value_at(i) > 0}
+        if DENSE in tags and DISCRETE not in tags:
+            return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(small_generated(), small_omega_generated()))
+def test_idempotent_cover_agrees_with_atom_oracle(case):
+    m = case[0]
+    assert idempotent_cover_check(m) == _idempotent_oracle(m)
 
 
 def _outcome(f, *args):
