@@ -34,7 +34,7 @@ def main() -> int:
     for step in chain:
         print(f"  {step}")
     print(f"atomic factorization of omega_1: "
-          f"{find_atomic_factorization(seq, w1, depth=50)}")
+          f"{find_atomic_factorization(seq, w1)}")
 
     b = make_net(omega, {1: 2, 3: 3})
     facs = find_atomic_factorization(seq, b)

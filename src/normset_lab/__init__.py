@@ -18,9 +18,9 @@ from .class_groups import (BQForm, ClassGroupData, class_group,
                            narrow_class_group_real, prime_form, principal_form,
                            reduce_form, reduced_forms,
                            reduced_indefinite_forms, splitting_type)
-from .errors import (BadDiscriminant, CapExceeded, DepthExhausted,
-                     IndexMismatch, NeedsBound, NormsetLabError, NotMember,
-                     SearchBudgetExceeded, UsageError, WitnessSearchExhausted)
+from .errors import (BadDiscriminant, CapExceeded, IndexMismatch, NeedsBound,
+                     NormsetLabError, NotMember, SearchBudgetExceeded,
+                     UsageError, WitnessSearchExhausted)
 from .hfd_lab import (HfdVerdict, bounded_hfd_check, carlitz_verdict,
                       classification_check, elasticity_via_davenport,
                       order_hfd_witness)

@@ -3,7 +3,8 @@
 One process, batch semantics: parse flags, run one computation, print one
 report (text lines or a single JSON record with a schema_version field),
 exit. Exit status taxonomy: 0 success, 1 usage error, 2 the computation
-ended in an unknown verdict (bound or depth exhausted, search cap hit).
+ended in an unknown verdict (bound exhausted, search cap or budget hit, or
+no atomic factorization found for a positive-tail sequence net).
 
 JSON reports are deterministic (sorted keys, no floats) and round-trip
 byte-identically through json.loads/json.dumps with the same options.
@@ -23,9 +24,8 @@ from math import inf
 
 from . import valnet_sim as vn
 from .class_groups import class_group, narrow_class_group_real
-from .errors import (BadDiscriminant, CapExceeded, DepthExhausted, NeedsBound,
-                     NotMember, SearchBudgetExceeded, UsageError,
-                     WitnessSearchExhausted)
+from .errors import (BadDiscriminant, CapExceeded, NeedsBound, NotMember,
+                     SearchBudgetExceeded, UsageError, WitnessSearchExhausted)
 from .hfd_lab import (carlitz_verdict, classification_check,
                       elasticity_via_davenport, order_hfd_witness)
 from .monoid_core import AbelianGroup, FactorMultiset, davenport_witness, elasticity_window
@@ -329,7 +329,7 @@ def _cmd_valnet(args):
     b = one_net()
     base["net"] = str(b)
     if op == "member":
-        return {**base, "member": m.contains(b, depth)}, EXIT_OK
+        return {**base, "member": m.contains(b)}, EXIT_OK
     if op == "length":
         return {**base, "length": vn.length(b)}, EXIT_OK
     if op == "sb":
@@ -339,28 +339,27 @@ def _cmd_valnet(args):
     if op == "bfd":
         return {**base, "bfd_bound": vn.bfd_bound(m, b, depth)}, EXIT_OK
     if op == "factor":
-        out = vn.find_atomic_factorization(m, b, depth)
+        out = vn.find_atomic_factorization(m, b)
         payload = {**base, "status": out.status, "depth": depth,
                    "factorization":
                        None if out.value is None else [str(a) for a in out.value]}
         return payload, EXIT_UNKNOWN if out.status == "none_within_depth" else EXIT_OK
     if op == "divisors":
         ds = vn.monoid_divisors(m, b, depth)
-        count = vn.ffd_window(m, b, depth)
-        return {**base, "divisors": [str(d) for d in ds],
-                "count": count.count, "exact": count.exact}, EXIT_OK
+        return {**base, "divisors": [str(d) for d in ds], "count": len(ds),
+                "exact": m.kind == "generated" or b.tail == 0}, EXIT_OK
     if op == "accp":
         if not toks:
             raise UsageError("valnet accp needs a chain length")
         k = int(toks.pop(0))
-        chain = vn.accp_chain(m, b, k, depth)
+        chain = vn.accp_chain(m, b, k)
         return {**base, "k": k, "found": chain is not None,
                 "chain": None if chain is None else [str(c) for c in chain]}, EXIT_OK
     if op == "comax":
         if not toks:
             raise UsageError("valnet comax needs a family size")
         k = int(toks.pop(0))
-        fam = vn.comaximal_family(m, b, k, depth)
+        fam = vn.comaximal_family(m, b, k)
         return {**base, "k": k, "found": fam is not None,
                 "family": None if fam is None else [str(x) for x in fam]}, EXIT_OK
     if op == "cover":
@@ -368,7 +367,7 @@ def _cmd_valnet(args):
             raise UsageError("valnet cover needs a comma-separated index list")
         idxs = _valnet_indices(m, toks.pop(0))
         return {**base, "indices": [str(i) for i in idxs],
-                "covered": vn.finite_cover_check(m, b, idxs, depth)}, EXIT_OK
+                "covered": vn.finite_cover_check(m, b, idxs)}, EXIT_OK
     raise UsageError(f"unknown valnet query {op!r}")
 
 
@@ -395,7 +394,9 @@ def _add_common(p, *, d=False, n=False, bound=False, value=False, depth=False):
                        help="integer queried against the normset")
     if depth:
         p.add_argument("--depth", type=int, default=32,
-                       help="search depth for valuation-net queries")
+                       help="index window for the infinite divisor lists of "
+                            "positive-tail sequence nets (divisors, sb); every "
+                            "other valnet answer is exact at any depth")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report format")
 
@@ -497,8 +498,8 @@ def main(argv=None) -> int:
     except (FileNotFoundError, ValueError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (NeedsBound, WitnessSearchExhausted, DepthExhausted,
-            SearchBudgetExceeded, CapExceeded) as e:
+    except (NeedsBound, WitnessSearchExhausted, SearchBudgetExceeded,
+            CapExceeded) as e:
         command = " ".join(filter(None, (args.command, getattr(args, "normset_op", None))))
         record = {"command": command, "answer": "unknown",
                   "reason": type(e).__name__, "detail": str(e)}

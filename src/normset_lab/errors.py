@@ -37,10 +37,6 @@ class SearchBudgetExceeded(NormsetLabError):
         self.partial = partial
 
 
-class DepthExhausted(NormsetLabError):
-    """Generated-monoid membership search overflowed its state budget."""
-
-
 class WitnessSearchExhausted(NormsetLabError):
     """A witness was required but not found within the allotted window."""
 

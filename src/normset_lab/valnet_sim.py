@@ -15,9 +15,10 @@ componentwise order. The simulator works with two monoid descriptions:
   forever, and q = e_1 + omega_1 lies in every index's ideal.
 
 Nets are canonical: the support stores only deviations from the tail, so
-equality of nets is equality of functions. All searches over infinite
-divisor posets are depth-limited and report three-valued outcomes; a
-"proven_none" is only produced where the enumeration is genuinely complete.
+equality of nets is equality of functions. A net of a generated monoid has
+finitely many members below it, so every query there is exact (or raises
+CapExceeded past a million members). Only the infinite divisor lists of
+positive-tail sequence nets are cut at a depth.
 
 Ideal norms carry an attainment flag: (gamma, attained=False) encodes the
 value gamma + epsilon of an infimum that no element reaches. Epsilons
@@ -30,12 +31,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import compress, islice
 from math import ceil, floor, inf, lcm, prod
 from operator import add, le, sub
 from typing import Any, Iterable
 
-from .errors import CapExceeded, DepthExhausted, IndexMismatch
+from .errors import CapExceeded, IndexMismatch
 from .monoid_core import FactorMultiset, FactorSession, MonoidView
 
 INF_INDEX = "inf"
@@ -272,13 +274,14 @@ class NetMonoid:
         return zero_net(self.index_set)
 
     def contains(self, x: ValNet, depth: int = 64) -> bool:
+        """Exact membership; `depth` is accepted and ignored."""
         if x.index_set != self.index_set:
             return False
         if self.kind == "sequence_domain":
             return x.at_infinity == x.tail
         if x.is_zero:
             return True
-        t = _Table(self, x, depth).require()
+        t = _Table(self, x)
         return t.vec(x) in t.members
 
     def __str__(self):
@@ -318,6 +321,7 @@ def _net_key(x: ValNet):
 
 
 _DIVISOR_CAP = 10_000
+_MEMBER_CAP = 1_000_000
 
 
 class _Table:
@@ -329,12 +333,13 @@ class _Table:
     denominators there (1 at a discrete label), so a net becomes a
     fixed-length int tuple and an atom
     a tuple to add. Members are found layer by layer, layer k holding those
-    whose least atom count is k; `complete` is False when layer `depth` is
-    not empty. A member below any x <= b is below b at the same least atom
-    count, so one table answers membership and divisibility for all x <= b.
+    whose least atom count is k. Every atom is positive in some coordinate,
+    so the layers end by themselves; past _MEMBER_CAP members the table
+    raises CapExceeded. A member below any x <= b is below b, so one table
+    answers membership and divisibility for all x <= b.
     """
 
-    def __init__(self, m: NetMonoid, b: ValNet, depth: int):
+    def __init__(self, m: NetMonoid, b: ValNet):
         if b.index_set != m.index_set:
             raise IndexMismatch("nets live over different index sets")
         self.m, self.labels = m, m.index_set.labels
@@ -350,22 +355,16 @@ class _Table:
         atoms = [self.vec(g) for g in m.atoms]
         frontier = {(0,) * len(top)}
         self.members = set(frontier)
-        for _ in range(depth):
+        while frontier:
             sums = (tuple(map(add, x, g)) for x in frontier for g in atoms)
             frontier = {y for y in sums if all(map(le, y, top))} - self.members
             self.members |= frontier
-            if not frontier:
-                break
-        self.complete = not frontier
-        self.shortfall = f"atom sums below {b} still growing after {depth} layers"
+            if len(self.members) > _MEMBER_CAP:
+                raise CapExceeded(f"more than {_MEMBER_CAP} members below {b}",
+                                  cap=_MEMBER_CAP)
         # d <= x implies sum(d) <= sum(x): divisors of x lie in a prefix
         self.order = sorted(self.members, key=sum)
         self.totals = [sum(d) for d in self.order]
-
-    def require(self) -> "_Table":
-        if not self.complete:
-            raise DepthExhausted(self.shortfall)
-        return self
 
     def vec(self, x: ValNet) -> tuple:
         """x as an int tuple. A value off the members' lattice reads -1, so
@@ -410,14 +409,13 @@ def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = 32) -> list[ValNet]:
     """Nonunit divisors of b inside m, i.e. members d <= b whose cofactor
     b - d is also a member, sorted by _net_key.
 
-    Generated monoids: complete, or DepthExhausted when some member below b
-    needs `depth` atoms. Sequence domain with zero tail: complete (every
-    nonzero net below b), or CapExceeded beyond 10,000 divisors. With a
-    positive tail b has infinitely many divisors, and the list is truncated
-    by `depth`.
+    Generated monoids: complete (see _Table for its cap). Sequence domain
+    with zero tail: complete (every nonzero net below b), or CapExceeded
+    beyond 10,000 divisors. With a positive tail b has infinitely many
+    divisors, and the list is truncated by `depth`.
     """
     if m.kind == "generated":
-        t = _Table(m, b, depth).require()
+        t = _Table(m, b)
         return [t.net(d) for d in sorted(t.divisors(t.vec(b)), key=t.key)]
     if b.tail == 0:
         count = prod(v + 1 for _, v in b.support) - 1
@@ -452,10 +450,11 @@ def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = 32) -> list[ValNet]:
 
 
 def S_b(m: NetMonoid, b: ValNet, depth: int = 12) -> set:
-    """Lengths ||d|| of nonunit divisors of b in m, to the stated depth.
-    For the sequence domain this is analytic: with zero tail every total
-    from 1 to ||b|| occurs; with positive tail every depth-bounded finite
-    total occurs and infinity joins (b divides b).
+    """Lengths ||d|| of nonunit divisors of b in m. Exact for generated
+    monoids, and for zero-tail sequence nets, where every total from 1 to
+    ||b|| occurs. A positive tail allows every finite total, and infinity
+    joins (b divides b); the finite totals are cut at b's mass over the
+    indices 1 .. max(support) + depth, the window of monoid_divisors.
     """
     if m.kind == "sequence_domain":
         if b.is_zero:
@@ -463,9 +462,10 @@ def S_b(m: NetMonoid, b: ValNet, depth: int = 12) -> set:
         if b.tail == 0:
             top = length(b)
             return set(range(1, top + 1))
-        finite_top = sum(b.value_at(i) for i in range(1, depth + 1))
+        hi = max([*b.support_indices(), 0]) + depth
+        finite_top = sum(b.value_at(i) for i in range(1, hi + 1))
         return set(range(1, finite_top + 1)) | {inf}
-    return {length(d) for d in monoid_divisors(m, b, depth)}
+    return {length(d) for d in monoid_divisors(m, b)}
 
 
 def inf_S_b(m: NetMonoid, b: ValNet, depth: int = 12):
@@ -490,7 +490,8 @@ def bfd_bound(m: NetMonoid, b: ValNet, depth: int = 12) -> int | None:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Found / proven_none / none_within_depth, with the payload when found."""
+    """Found / proven_none / none_within_depth, with the payload when found.
+    none_within_depth is the answer for positive-tail sequence nets only."""
 
     status: str
     value: Any = None
@@ -502,18 +503,15 @@ class SearchOutcome:
         return self.status if self.value is None else f"{self.status}: {self.value}"
 
 
-def net_factorizations(m: NetMonoid, b: ValNet,
-                       depth: int = 32) -> tuple[FactorMultiset, ...]:
-    """All factorizations of b into atoms of a generated monoid. Raises
-    DepthExhausted when the member enumeration cannot finish.
-    """
+def net_factorizations(m: NetMonoid, b: ValNet) -> tuple[FactorMultiset, ...]:
+    """All factorizations of b into atoms of a generated monoid."""
     if m.kind != "generated":
         raise ValueError("exhaustive factorization is for generated monoids")
     if b.is_zero:
         raise ValueError("the zero net is a unit")
     if b.index_set != m.index_set:
         return ()
-    t = _Table(m, b, depth).require()
+    t = _Table(m, b)
     if t.vec(b) not in t.members:
         return ()  # not a sum of atoms at all
     return tuple(FactorMultiset(tuple(map(t.net, f.atoms)))
@@ -522,11 +520,13 @@ def net_factorizations(m: NetMonoid, b: ValNet,
 
 def find_atomic_factorization(m: NetMonoid, b: ValNet,
                               depth: int = 32) -> SearchOutcome:
-    """One factorization of b into atoms, three-valued.
+    """One factorization of b into atoms, three-valued; `depth` is accepted
+    and ignored.
 
-    Sequence domain: zero tail means b is literally a finite sum of e_i
-    (found); a positive tail never resolves within finite depth, so the
-    honest answer is none_within_depth, not a proof of absence.
+    Generated monoids: found, or proven_none. Sequence domain: zero tail
+    means b is literally a finite sum of e_i (found); a positive tail never
+    resolves within finite depth, so the honest answer is none_within_depth,
+    not a proof of absence.
     """
     if b.is_zero:
         raise ValueError("the zero net is a unit")
@@ -539,20 +539,16 @@ def find_atomic_factorization(m: NetMonoid, b: ValNet,
                 atoms.extend([e_net(m.index_set, i)] * v)
             return SearchOutcome("found", FactorMultiset(tuple(atoms)))
         return SearchOutcome("none_within_depth")
-    try:
-        facts = net_factorizations(m, b, depth)
-    except DepthExhausted:
-        return SearchOutcome("none_within_depth")
+    facts = net_factorizations(m, b)
     if facts:
         return SearchOutcome("found", facts[0])
     return SearchOutcome("proven_none")
 
 
-def accp_chain(m: NetMonoid, b: ValNet, k: int, depth: int = 32) -> list[ValNet] | None:
+def accp_chain(m: NetMonoid, b: ValNet, k: int) -> list[ValNet] | None:
     """A chain of k nets starting at b, each a strictly smaller nonunit
     divisor of the previous: a length-k witness against the ascending chain
-    condition when it exists, else None. On a generated monoid raises
-    DepthExhausted when some member below b needs `depth` atoms.
+    condition when it exists, else None.
     """
     if k < 1 or b.is_zero:
         return None
@@ -576,15 +572,19 @@ def accp_chain(m: NetMonoid, b: ValNet, k: int, depth: int = 32) -> list[ValNet]
 
     if k == 1:
         return chain
-    t = _Table(m, b, depth).require()
+    t = _Table(m, b)
 
+    @cache
+    def below(x):
+        return sorted((d for d in t.divisors(x) if d != x), key=t.key)
+
+    # memoized: a member that many descents reach is searched once per need
+    @cache
     def extend(cur, need):
         # each d is strictly below cur, so the chain never repeats a member
         if need == 0:
             return []
-        for d in sorted(t.divisors(cur), key=t.key):
-            if d == cur:
-                continue
+        for d in below(cur):
             rest = extend(d, need - 1)
             if rest is not None:
                 return [d] + rest
@@ -601,20 +601,22 @@ def accp_chain(m: NetMonoid, b: ValNet, k: int, depth: int = 32) -> list[ValNet]
 def comaximal_family(m: NetMonoid, b: ValNet, k: int,
                      depth: int = 16) -> list[ValNet] | None:
     """k nonunit divisors of b with pairwise disjoint positive regions, or
-    None if the (depth-limited) divisor pool cannot supply them. On a
+    None if b has no such family; `depth` is accepted and ignored. On a
     generated monoid two divisors are disjoint when no table coordinate is
     positive in both; the tail and infinity coordinates stand for the
-    cofinite and infinite parts of the regions.
+    cofinite and infinite parts of the regions. In the sequence domain the
+    family is the first k atoms e_i dividing b: b's positive indices up to
+    its last support index, then, with a positive tail, the next k indices.
     """
     if k < 1:
         return None
     if m.kind == "sequence_domain":
-        idxs = [i for i in range(1, max([*b.support_indices(), 0]) + depth + 1)
-                if b.value_at(i) > 0]
+        hi = max([*b.support_indices(), 0]) + (k if b.tail > 0 else 0)
+        idxs = [i for i in range(1, hi + 1) if b.value_at(i) > 0]
         if len(idxs) < k:
             return None
         return [e_net(m.index_set, i) for i in idxs[:k]]
-    t = _Table(m, b, depth).require()
+    t = _Table(m, b)
     pool = sorted(t.divisors(t.vec(b)), key=t.key)
 
     def pick(start, acc):
@@ -634,22 +636,19 @@ def comaximal_family(m: NetMonoid, b: ValNet, k: int,
 def finite_cover_check(m: NetMonoid, b: ValNet, candidate: list,
                        depth: int = 32) -> bool:
     """Do the candidate indices cover the divisors of b: does every nonunit
-    divisor have positive value at some candidate index? The binding cases
-    are the atoms e_i (single-index divisors), so a positive tail with a
-    finite candidate list always fails once the scan passes the largest
-    candidate.
+    divisor have positive value at some candidate index? `depth` is
+    accepted and ignored. In the sequence domain the binding cases are the
+    atoms e_i (single-index divisors): b is covered when its tail is zero
+    and every support index is a candidate, since a positive tail puts e_i
+    below b for indices past every candidate.
     """
     cand = set(candidate)
     for idx in cand:
         if not b.index_set.valid_index(idx):
             raise ValueError(f"{idx!r} is not an index here")
     if m.kind == "sequence_domain":
-        hi = max([*b.support_indices(), *(cand - {INF_INDEX}), 0]) + depth
-        for i in range(1, hi + 1):
-            if b.value_at(i) > 0 and i not in cand:
-                return False  # e_i divides b and escapes every candidate
-        return True
-    t = _Table(m, b, depth).require()
+        return b.tail == 0 and cand.issuperset(b.support_indices())
+    t = _Table(m, b)
     # over omega plus a point, an index off the labels reads the tail column
     cols = {t.labels.index(i) if i in t.labels else len(t.labels) - 2 for i in cand}
     return all(any(d[c] > 0 for c in cols) for d in t.divisors(t.vec(b)))
@@ -663,7 +662,7 @@ def idempotent_cover_check(m: NetMonoid) -> bool:
     positive tail. The atoms are read in the member table's coordinates, so
     over omega plus a point the tail and the infinite point count too.
     """
-    t = _Table(m, m.zero(), 0)
+    t = _Table(m, m.zero())
     tags = [m.index_set.tag_of(i) for i in t.labels]
     for g in map(t.vec, m.atoms):
         positive = {tag for tag, v in zip(tags, g) if v > 0}
@@ -675,25 +674,24 @@ def idempotent_cover_check(m: NetMonoid) -> bool:
 @dataclass(frozen=True)
 class DivisorCount:
     count: int
-    exact: bool  # False: the enumeration hit its depth, a lower bound only
+    exact: bool  # False: a positive-tail sequence net's list, cut at the depth
 
     def __str__(self):
         return str(self.count) if self.exact else f">={self.count} (depth hit)"
 
 
 def ffd_window(m: NetMonoid, b: ValNet, depth: int = 16) -> DivisorCount:
-    """Number of distinct nonunit divisors of b. Exact for zero-tail
-    sequence members, and for generated monoids whose members below b all
-    need fewer than `depth` atoms. Otherwise a lower bound: a positive tail
-    counts the depth-truncated list, and a generated monoid counts the
-    divisors d for which d and b - d both appear within `depth` layers.
+    """Number of distinct nonunit divisors of b. Exact for generated
+    monoids and zero-tail sequence members. A positive tail has infinitely
+    many divisors, and the count of the depth-truncated list is a lower
+    bound.
     """
     if m.kind == "sequence_domain" and b.tail == 0:
         return DivisorCount(prod(v + 1 for _, v in b.support) - 1, True)
     if m.kind == "sequence_domain":
         return DivisorCount(len(monoid_divisors(m, b, depth)), False)
-    t = _Table(m, b, depth)
-    return DivisorCount(len(t.divisors(t.vec(b))), t.complete)
+    t = _Table(m, b)
+    return DivisorCount(len(t.divisors(t.vec(b))), True)
 
 
 # ---------------------------------------------------------------------------

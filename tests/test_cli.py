@@ -5,10 +5,12 @@ and captured output without spawning subprocesses.
 """
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from normset_lab import ffd_window, load_net_monoid, parse_net
 from normset_lab.cli import entry, main
 
 
@@ -306,14 +308,23 @@ def test_valnet_sb_and_accp(capsys, seq_file):
     assert rec["chain"][0] == "(1:0, tail:1, inf:1)"
 
 
-def test_valnet_accp_obeys_depth(capsys, gen_file):
-    code, rec, _ = run_json(capsys, "valnet", gen_file, "accp",
-                            "M1:40,M2:40", "3")
-    assert code == 2 and rec["reason"] == "DepthExhausted"
-    code, rec, _ = run_json(capsys, "valnet", gen_file, "accp",
-                            "M1:40,M2:40", "3", "--depth", "64")
+def test_valnet_accp_ignores_depth(capsys, gen_file):
+    # (40, 40) needs 40 atoms, more than any of these depths
+    outs = [run_json(capsys, "valnet", gen_file, "accp", "M1:40,M2:40", "3", *extra)
+            for extra in ((), ("--depth", "1"), ("--depth", "64"))]
+    assert outs[1] == outs[0] == outs[2]
+    code, rec, _ = outs[0]
     assert code == 0 and rec["found"] is True
-    assert len(rec["chain"]) == 3
+    assert rec["chain"] == ["(M1:40, M2:40)", "(M1:1, M2:3)", "(M1:1, M2:1)"]
+
+
+def test_valnet_accp_search_is_fast(capsys, gen_file):
+    # the longest chain below (12, 12) has 12 members, so k = 14 tries every
+    # descent; an unmemoized depth-first search takes tens of seconds
+    start = time.perf_counter()
+    code, rec, _ = run_json(capsys, "valnet", gen_file, "accp", "M1:12,M2:12", "14")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and rec["found"] is False
 
 
 def test_valnet_cover_and_comax(capsys, seq_file, gen_file):
@@ -419,9 +430,14 @@ GOLDEN_COMMANDS = {
     "elasticity_-10007": "elasticity --d -10007 --bound 50",
     "valnet_member": "valnet m2.net member M1:40,M2:40",
     "valnet_accp": "valnet m2.net accp M1:40,M2:40 3",
+    "valnet_accp_12": "valnet m2.net accp M1:12,M2:12 14",
     "valnet_divisors": "valnet m2.net divisors M1:6,M2:4",
+    "valnet_divisors_30": "valnet m2.net divisors M1:30,M2:30 --depth 16",
+    "valnet_seq_divisors_w3": "valnet seq.net divisors w3 --depth 6",
     "valnet_factor": "valnet seq.net factor 1:2,3:3",
     "valnet_seq_comax": "valnet seq.net comax 1:2,3:3 2",
+    "valnet_seq_comax_q": "valnet seq.net comax q 40",
+    "valnet_seq_sb_w40": "valnet seq.net sb w40",
     "valnet_seq_cover": "valnet seq.net cover w1 2,3,4",
     "valnet_seq_accp": "valnet seq.net accp w1 5",
     "valnet_seq_idempotent": "valnet seq.net idempotent",
@@ -430,6 +446,7 @@ GOLDEN_COMMANDS = {
     "valnet_cover": "valnet m2.net cover M1:4,M2:4 M1",
     "valnet_sb": "valnet m2.net sb M1:6,M2:4",
     "valnet_omega_comax": "valnet omega.net comax 1:2,2:1,tail:1 3",
+    "valnet_omega_divisors": "valnet omega.net divisors 1:2,2:1,tail:1",
     "valnet_omega_cover": "valnet omega.net cover 1:2,2:1,tail:1 1,2,9",
     "valnet_omega_cover_inf": "valnet omega.net cover 1:2,2:1,tail:1 1,2,inf",
 }
@@ -449,3 +466,18 @@ def test_cli_output_matches_golden(capsys, name):
     code, out, _ = run(capsys, *_golden_argv(GOLDEN_COMMANDS[name]))
     expected = (GOLDEN_CLI / f"{name}.out").read_text(encoding="utf-8")
     assert f"exit: {code}\n{out}" == expected
+
+
+def test_valnet_divisor_count_is_ffd_window(capsys):
+    # the CLI counts its one divisor list; ffd_window counts on its own
+    cmds = [c for c in GOLDEN_COMMANDS.values() if c.split()[2:3] == ["divisors"]]
+    # positive tails in the sequence domain and in a generated monoid
+    assert {c.split()[1] for c in cmds} == {"m2.net", "seq.net", "omega.net"}
+    for cmd in cmds:
+        argv = _golden_argv(cmd)
+        depth = int(argv[argv.index("--depth") + 1]) if "--depth" in argv else 32
+        m = load_net_monoid(argv[1])
+        count = ffd_window(m, parse_net(m, argv[3]), depth)
+        _, out, _ = run(capsys, *argv)
+        rec = json.loads(out)
+        assert (rec["count"], rec["exact"]) == (count.count, count.exact), cmd

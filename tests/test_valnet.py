@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import normset_lab.valnet_sim as vn
 from normset_lab import (
     CapExceeded,
-    DepthExhausted,
     DivisorCount,
     EpsVal,
     IndexMismatch,
@@ -214,8 +213,24 @@ def test_generated_membership():
     assert M2.contains(zero_net(FIN))
     assert not M2.contains(fnet(1, 0))
     assert not M2.contains(fnet(0, 3))
-    with pytest.raises(DepthExhausted):
-        M2.contains(fnet(8, 8), depth=2)
+    # (8, 8) needs 8 atoms; the depth no longer caps the member table
+    assert M2.contains(fnet(8, 8), depth=2)
+    assert not M2.contains(fnet(8, 7), depth=2)
+
+
+def test_member_table_cap(monkeypatch):
+    # 12 labels with atoms e_i: (1, ..., 1) has 2**12 members below it
+    labels = finite_indices(*(f"L{i}" for i in range(12)))
+    m = generated_monoid(labels, [make_net(labels, {lab: 1}) for lab in labels.labels])
+    ones = make_net(labels, dict.fromkeys(labels.labels, 1))
+    monkeypatch.setattr(vn, "_MEMBER_CAP", 1000)
+    with pytest.raises(CapExceeded) as err:
+        m.contains(ones)
+    assert err.value.cap == 1000
+    with pytest.raises(CapExceeded):
+        net_factorizations(M2, fnet(60, 60))
+    # (30, 30) has 481 members below it, under the cap
+    assert ffd_window(M2, fnet(30, 30)) == DivisorCount(480, True)
 
 
 def test_monoid_validation():
@@ -260,8 +275,11 @@ def test_divisors_generated():
     )
     # a generator that splits is still a divisor
     assert fnet(1, 1) in monoid_divisors(M3, fnet(1, 1))
-    with pytest.raises(DepthExhausted):
-        monoid_divisors(M2, fnet(8, 8), depth=2)
+    # every (a, b) <= (8, 8) with a + b even, but zero
+    deep = monoid_divisors(M2, fnet(8, 8), depth=2)
+    assert deep == monoid_divisors(M2, fnet(8, 8), depth=64)
+    assert len(deep) == 40 and all((d.value_at("M1") + d.value_at("M2")) % 2 == 0
+                                   for d in deep)
 
 
 def test_divisors_sequence_zero_tail_are_complete():
@@ -280,7 +298,9 @@ def test_s_b_and_bfd_bound():
     assert S_b(SEQ, B23) == {1, 2, 3, 4, 5}
     assert inf_S_b(SEQ, B23) == 1
     assert bfd_bound(SEQ, B23) == 5
-    assert S_b(SEQ, W1, depth=6) == {1, 2, 3, 4, 5, inf}
+    # W1 has mass 6 over indices 1 .. 1 + 6
+    assert S_b(SEQ, W1, depth=6) == {1, 2, 3, 4, 5, 6, inf}
+    assert inf_S_b(SEQ, omega_net(OMEGA, 40), depth=32) == 1
     assert bfd_bound(SEQ, W1) is None       # infinite length
     assert bfd_bound(SEQ, zero_net(OMEGA)) is None
     assert S_b(M3, fnet(1, 1)) == {1, 2}
@@ -311,8 +331,8 @@ def test_factorizations_edge_cases():
         net_factorizations(M2, zero_net(FIN))
     with pytest.raises(ValueError):
         net_factorizations(SEQ, B23)
-    with pytest.raises(DepthExhausted):
-        net_factorizations(M2, fnet(8, 8), depth=2)
+    # (8, 8) = k (1, 1) + (8 - k)/2 ((2, 0) + (0, 2)) for k = 0, 2, 4, 6, 8
+    assert len(net_factorizations(M2, fnet(8, 8))) == 5
 
 
 def test_find_atomic_sequence():
@@ -333,7 +353,8 @@ def test_find_atomic_generated():
     assert find_atomic_factorization(M2, fnet(2, 2)).status == "found"
     assert find_atomic_factorization(M2, fnet(1, 0)).status == "proven_none"
     deep = find_atomic_factorization(M2, fnet(8, 8), depth=3)
-    assert deep.status == "none_within_depth"
+    assert deep.status == "found"
+    assert reduce(net_add, deep.value.atoms) == fnet(8, 8)
 
 
 def test_accp_chain_sequence():
@@ -356,11 +377,60 @@ def test_accp_chain_generated():
     assert accp_chain(M2, fnet(2, 2), 0) is None
 
 
-def test_accp_chain_of_one_needs_no_enumeration():
-    # (40, 40) needs 40 atoms, past the chain search's 32 layers
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The argument tuples of every _Table built during the test."""
+    builds = []
+
+    class CountingTable(vn._Table):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(vn, "_Table", CountingTable)
+    return builds
+
+
+def test_accp_chain_of_one_needs_no_enumeration(table_builds):
     assert accp_chain(M2, fnet(40, 40), 1) == [fnet(40, 40)]
-    with pytest.raises(DepthExhausted):
-        accp_chain(M2, fnet(40, 40), 2)
+    assert table_builds == []
+    # (40, 40) needs 40 atoms, and the table holds them all
+    assert accp_chain(M2, fnet(40, 40), 2) == [fnet(40, 40), fnet(1, 1)]
+    assert len(table_builds) == 1
+
+
+def _accp_dfs(m, b, k):
+    """Oracle: the chain search before memoization, a depth-first search
+    over the sorted proper divisors of each member."""
+    if k == 1:
+        return [b]
+    t = vn._Table(m, b)
+
+    def extend(cur, need):
+        if need == 0:
+            return []
+        for d in sorted(t.divisors(cur), key=t.key):
+            if d == cur:
+                continue
+            rest = extend(d, need - 1)
+            if rest is not None:
+                return [d] + rest
+        return None
+
+    tail = extend(t.vec(b), k - 1)
+    return None if tail is None else [b] + [t.net(d) for d in tail]
+
+
+def test_accp_chain_matches_dfs():
+    # the longest chain from a member (n1, n2) of M2 has (n1 + n2) // 2
+    # members, so k up to one past it checks found and not-found searches
+    for n1 in range(7):
+        for n2 in range(7):
+            b = fnet(n1, n2)
+            if b.is_zero:
+                continue
+            for k in range(1, (n1 + n2) // 2 + 2):
+                assert accp_chain(M2, b, k) == _accp_dfs(M2, b, k), (n1, n2, k)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +464,30 @@ def _disjoint(x: MaxSupport, y: MaxSupport) -> bool:
     if y.cofinite:
         return all(i in y.excluded for i in x.positive)
     return not set(x.positive) & set(y.positive)
+
+
+def _seq_comax_scan(b, k, depth=64):
+    """Oracle: the first k indices i <= max(support) + depth where b is
+    positive, as atoms e_i."""
+    idxs = [i for i in range(1, max([*b.support_indices(), 0]) + depth + 1)
+            if b.value_at(i) > 0]
+    return [e_net(b.index_set, i) for i in idxs[:k]] if len(idxs) >= k >= 1 else None
+
+
+def _seq_cover_scan(b, candidate, depth=64):
+    """Oracle: every index i <= max(support, candidates) + depth where b
+    is positive is a candidate."""
+    fin = [i for i in candidate if i != INF_INDEX]
+    hi = max([*b.support_indices(), *fin, 0]) + depth
+    return all(b.value_at(i) == 0 or i in candidate for i in range(1, hi + 1))
+
+
+@given(b=omega_nets(), k=st.integers(0, 8),
+       cand=st.lists(st.sampled_from((1, 2, 3, 5, 8, 9, INF_INDEX)), max_size=5))
+def test_sequence_comax_and_cover_match_index_scans(b, k, cand):
+    b = make_net(OMEGA, dict(b.support), b.tail, b.tail)  # a member
+    assert comaximal_family(SEQ, b, k) == _seq_comax_scan(b, k)
+    assert finite_cover_check(SEQ, b, cand) == _seq_cover_scan(b, cand)
 
 
 def _comax_oracle(m, b, k, depth=16):
@@ -478,29 +572,24 @@ def test_ffd_window():
     assert "depth" in str(DivisorCount(4, False))
 
 
-def test_ffd_window_lower_bound_when_depth_runs_out():
-    # (30, 30) needs 30 atoms; at depth 16 the count is a lower bound
-    low = ffd_window(M2, fnet(30, 30), depth=16)
-    full = ffd_window(M2, fnet(30, 30), depth=64)
-    assert not low.exact and full.exact
-    assert 0 < low.count <= full.count
-    with pytest.raises(DepthExhausted):
-        monoid_divisors(M2, fnet(30, 30), depth=16)
+def test_ffd_window_exact_at_any_depth():
+    # (30, 30) needs 30 atoms, more than the depth: the count stays exact
+    shallow = ffd_window(M2, fnet(30, 30), depth=16)
+    assert shallow == ffd_window(M2, fnet(30, 30), depth=64) == DivisorCount(480, True)
+    assert len(monoid_divisors(M2, fnet(30, 30), depth=16)) == 480
 
 
 # ---------------------------------------------------------------------------
 # the integer member table against the ValNet BFS it replaced
 
 
-def _bfs_members(m, b, depth):
-    """Oracle: every member <= b by breadth-first atom sums over ValNets;
-    DepthExhausted when layer `depth` is not empty."""
+def _bfs_members(m, b):
+    """Oracle: every member <= b by breadth-first atom sums over ValNets,
+    run until no layer grows."""
     zero = m.zero()
     seen = {zero}
     frontier = [zero]
-    for _ in range(depth):
-        if not frontier:
-            return seen
+    while frontier:
         nxt = []
         for x in frontier:
             for g in m.atoms:
@@ -509,8 +598,6 @@ def _bfs_members(m, b, depth):
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    if frontier:
-        raise DepthExhausted("still growing")
     return seen
 
 
@@ -641,13 +728,6 @@ def test_idempotent_cover_agrees_with_atom_oracle(case):
     assert idempotent_cover_check(m) == _idempotent_oracle(m)
 
 
-def _outcome(f, *args):
-    try:
-        return f(*args)
-    except DepthExhausted:
-        return DepthExhausted
-
-
 # two atoms positive from index 2 (resp. 4) on, but zero at infinity: only
 # the tail coordinate shows that they overlap
 TAILED = generated_monoid(OMEGA, [make_net(OMEGA, {1: 0}, 1, 0),
@@ -665,69 +745,37 @@ def test_comax_and_cover_agree_with_support_oracles(case, cand):
     m, b, depth = case
     cand = [i for i in cand if m.index_set.valid_index(i)]
     for k in (1, 2, 3):
-        assert (_outcome(comaximal_family, m, b, k, depth)
-                == _outcome(_comax_oracle, m, b, k, depth))
-    assert (_outcome(finite_cover_check, m, b, cand, depth)
-            == _outcome(_cover_oracle, m, b, cand, depth))
+        assert comaximal_family(m, b, k, depth) == _comax_oracle(m, b, k, depth)
+    assert finite_cover_check(m, b, cand, depth) == _cover_oracle(m, b, cand, depth)
 
 
-def test_comax_and_cover_build_one_table_and_list_no_divisors(monkeypatch):
-    builds, listed = [], []
-
-    class CountingTable(vn._Table):
-        def __init__(self, *args):
-            builds.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(vn, "_Table", CountingTable)
+def test_comax_and_cover_build_one_table_and_list_no_divisors(monkeypatch, table_builds):
+    listed = []
     monkeypatch.setattr(vn, "monoid_divisors", lambda *a: listed.append(a))
     assert comaximal_family(M2, fnet(4, 4), 2) == [fnet(2, 0), fnet(0, 2)]
-    assert len(builds) == 1
+    assert len(table_builds) == 1
     assert not finite_cover_check(M2, fnet(4, 4), ["M1"])
-    assert len(builds) == 2 and listed == []
+    assert len(table_builds) == 2 and listed == []
 
 
 def _check_table_against_bfs(m, b, depth):
-    # the same least depth at which the enumeration completes
-    for d in range(depth + 1):
-        try:
-            _bfs_members(m, b, d)
-        except DepthExhausted:
-            assert not vn._Table(m, b, d).complete
-            with pytest.raises(DepthExhausted):
-                m.contains(b, d)
-            with pytest.raises(DepthExhausted):
-                net_factorizations(m, b, d)
-        else:
-            assert vn._Table(m, b, d).complete
-    try:
-        mem = _bfs_members(m, b, depth)
-    except DepthExhausted:
-        with pytest.raises(DepthExhausted):
-            monoid_divisors(m, b, depth)
-        return
-    t = vn._Table(m, b, depth)
+    # the full member set, whatever the (ignored) depth
+    mem = _bfs_members(m, b)
+    t = vn._Table(m, b)
     assert {t.net(v) for v in t.members} == mem
     assert m.contains(b, depth) == (b in mem)
     assert monoid_divisors(m, b, depth) == _bfs_divisors(mem, b)
-    assert [f.atoms for f in net_factorizations(m, b, depth)] == _bfs_factorizations(mem, b)
+    assert ffd_window(m, b, depth) == DivisorCount(len(_bfs_divisors(mem, b)), True)
+    assert [f.atoms for f in net_factorizations(m, b)] == _bfs_factorizations(mem, b)
 
 
-def test_one_member_table_per_factorization_call(monkeypatch):
+def test_one_member_table_per_factorization_call(table_builds):
     triple = finite_indices("P", "Q", "R")
     m = generated_monoid(triple, [parse_net(triple, text) for text in (
         "P:1,Q:1", "Q:1,R:1", "P:1,R:1", "P:2", "Q:3", "R:2")])
     b = parse_net(m, "P:8,Q:8,R:8")
-    builds = []
-
-    class CountingTable(vn._Table):
-        def __init__(self, *args):
-            builds.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(vn, "_Table", CountingTable)
     facts = net_factorizations(m, b)
-    assert len(builds) == 1
+    assert len(table_builds) == 1
     assert len(facts) == 27
     for f in facts:
         assert reduce(net_add, f.atoms) == b
