@@ -13,7 +13,9 @@ questions about norms want the narrow one.
 
 Also here: Minkowski bounds with outward rational rounding, prime splitting
 via the Kronecker symbol, and the class-index calculus (which classes carry
-an ideal of a given norm) that the normset membership backend runs on.
+an ideal of a given norm) that the normset membership backend runs on, for
+one norm (ideal_class_options) or for a whole window of norms from one
+sieve (ideal_class_table).
 """
 
 from __future__ import annotations
@@ -467,26 +469,72 @@ def prime_form(D: int, p: int) -> BQForm:
     raise ValueError(f"{p} is inert at discriminant {D}; no ideal of norm {p}")
 
 
+def _prime_ideal(cg: ClassGroupData, p: int) -> tuple[int, int | None]:
+    """(chi, class): the Kronecker symbol of p (-1 inert, 0 ramified, 1 split)
+    and the class index of a prime ideal above p, None when p is inert.
+    """
+    chi = kronecker(cg.discriminant, p)
+    return chi, (None if chi == -1 else cg.index_of(prime_form(cg.discriminant, p)))
+
+
+def _prime_power_options(cg: ClassGroupData, chi: int, pi: int | None,
+                         e: int) -> set[int] | None:
+    """Indices of the classes of the ideals of norm p^e, (chi, pi) =
+    _prime_ideal(cg, p), or None when there is none: an inert prime needs an
+    even e and gives the principal class; a ramified prime gives its unique
+    class to the power e; a split prime gives [P]^(e-2i) as the exponent
+    splits between P and its conjugate.
+    """
+    if chi == -1:
+        return None if e % 2 else {cg.identity_index}
+    if chi == 0:
+        return {cg.power_index(pi, e)}
+    return {cg.power_index(pi, e - 2 * i) for i in range(e + 1)}
+
+
 def ideal_class_options(cg: ClassGroupData, q: int) -> set[int] | None:
     """Indices of the classes containing an ideal of norm q, or None when no
-    ideal of norm q exists. Follows the splitting of each prime power: inert
-    primes force even exponents and contribute principally; a ramified prime
-    contributes its unique class to the power e; a split prime contributes
-    [P]^(e-2i) as the exponent splits between the two conjugates.
+    ideal of norm q exists: the composition over the prime powers p^e of q
+    of their options (_prime_power_options).
     """
     if q < 1:
         raise ValueError("ideal norms are positive")
     opts = {cg.identity_index}
     for p, e in factorize(q):
-        chi = kronecker(cg.discriminant, p)
-        if chi == -1:
-            if e % 2:
-                return None
-            continue
-        pi = cg.index_of(prime_form(cg.discriminant, p))
-        if chi == 0:
-            per = {cg.power_index(pi, e)}
-        else:
-            per = {cg.power_index(pi, e - 2 * i) for i in range(e + 1)}
+        per = _prime_power_options(cg, *_prime_ideal(cg, p), e)
+        if per is None:
+            return None
         opts = {cg.compose_indices(x, y) for x in opts for y in per}
     return opts
+
+
+def ideal_class_table(cg: ClassGroupData, bound: int) -> list[set[int] | None]:
+    """ideal_class_options(cg, q) at index q for every 1 <= q <= bound; index
+    0 holds None. A smallest-prime-factor sieve writes q = p^e * r with p
+    the least prime of q. A prime power gets its options directly, from the
+    class of p, which is reduced once per table; any other q composes the
+    entries of p^e and r, both already in the table.
+    """
+    spf = list(range(bound + 1))
+    for i in range(2, bound + 1):
+        if spf[i] == i:
+            for j in range(i * i, bound + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+    table: list[set[int] | None] = [None] * (bound + 1)
+    if bound >= 1:
+        table[1] = {cg.identity_index}
+    primes: dict[int, tuple[int, int | None]] = {}
+    for q in range(2, bound + 1):
+        p, r, e = spf[q], q // spf[q], 1
+        while r % p == 0:
+            r //= p
+            e += 1
+        if r == 1:
+            if e == 1:
+                primes[p] = _prime_ideal(cg, p)
+            table[q] = _prime_power_options(cg, *primes[p], e)
+        elif table[r] is not None and table[q // r] is not None:
+            table[q] = {cg.compose_indices(x, y)
+                        for x in table[q // r] for y in table[r]}
+    return table

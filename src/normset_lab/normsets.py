@@ -30,9 +30,11 @@ from typing import Any
 
 from .arith import divisors, factorize
 from .class_groups import (
+    ClassGroupData,
     class_group_imaginary,
     class_group_real,
     ideal_class_options,
+    ideal_class_table,
     minkowski_bound,
     narrow_class_group_real,
     splitting_type,
@@ -46,6 +48,7 @@ from .quadratic import (
     divide_exact,
     elements_of_norm,
     exact_real_search_bound,
+    imag_norm_table,
     order_fundamental_unit,
     real_norm_table,
 )
@@ -104,11 +107,17 @@ class NormsetHandle:
     search and maximal real orders to the ideal-theoretic path;
     "both" runs the two backends side by side and hard-asserts agreement.
 
-    Besides its verdict memo, a handle on a real order holds a norm table
-    (quadratic.real_norm_table): members_up_to(B) fills it for every
-    2 <= |m| <= B with one domain sweep, and every element search that would
-    run at the exact bound for such an m reads the table instead, with the
-    same verdict. Both are caches only; concurrent queries at worst
+    Besides its verdict memo, a handle holds the window tables that
+    members_up_to(B) fills for every 2 <= |m| <= B: always a norm table of
+    the element backend, from one sweep (quadratic.imag_norm_table walks the
+    ellipse N(x) <= B of an imaginary order, quadratic.real_norm_table the
+    fundamental domain of a real one), and, when the policy asks the ideal
+    backend, a class table (class_groups.ideal_class_table, one sieve). The
+    window's membership is read from them, and every later query of such an
+    m that would search at the exact bound, or compute the classes of
+    norm |m|, reads them too, with the same verdict. A real order whose
+    exact search bound at B passes the ceiling gets no tables and asks each
+    m in turn. Memo and tables are caches only; concurrent queries at worst
     recompute an entry.
     """
 
@@ -119,7 +128,8 @@ class NormsetHandle:
         self.policy = policy
         self._verdicts: dict = {}
         self._norms: dict[int, QuadElem] = {}
-        self._norms_bound = 1  # the table covers 2 <= |m| <= this
+        self._classes: list[set[int] | None] | None = None  # ideal backend only
+        self._norms_bound = 1  # the tables cover 2 <= |m| <= this
 
     # -- membership ---------------------------------------------------
 
@@ -133,26 +143,31 @@ class NormsetHandle:
             self._verdicts[key] = hit
         return hit
 
+    def _backend(self) -> str:
+        """The policy with auto resolved: the ideal backend for maximal real
+        orders, the element search for every other order.
+        """
+        if self.policy != "auto":
+            return self.policy
+        order = self.order
+        return ("ideal_theoretic" if (not order.is_imaginary and order.is_maximal)
+                else "form_search")
+
     def _decide(self, m: int, bound: int | None) -> Verdict:
         order = self.order
         if abs(m) == 1:
             return _unit_verdict(order, m)
-        policy = self.policy
-        table = self._norms if abs(m) <= self._norms_bound else None
-        if policy == "auto":
-            policy = ("ideal_theoretic"
-                      if (not order.is_imaginary and order.is_maximal)
-                      else "form_search")
+        policy = self._backend()
+        table, classes = ((self._norms, self._classes) if abs(m) <= self._norms_bound
+                          else (None, None))
         if policy == "form_search":
             return _form_search_contains(order, m, bound, table)
         if policy == "ideal_theoretic":
-            return _ideal_contains(order, m, bound, table)
+            return _ideal_contains(order, m, bound, table, classes)
         v1 = _form_search_contains(order, m, bound, table)
-        v2 = _ideal_contains(order, m, bound, table)
+        v2 = _ideal_contains(order, m, bound, table, classes)
         if v1.answer != "unknown" and v1.answer != v2.answer:
-            raise AssertionError(
-                f"backend disagreement at m={m} in {self}: "
-                f"form_search={v1.answer}, ideal_theoretic={v2.answer}")
+            raise _disagreement(self, m, v1.answer, v2.answer)
         best = v1 if v1.answer != "unknown" else v2
         return Verdict(best.answer, best.witness, best.bound_used, "both", m)
 
@@ -162,19 +177,38 @@ class NormsetHandle:
         """Members m with 2 <= |m| <= size_bound, ascending by |m| with the
         positive sign first. Unit members (+-1) are excluded.
 
-        On a real order whose exact search bound at size_bound stays under
-        the ceiling, one sweep first fills the norm table up to size_bound.
+        The window is read from the tables the policy names, filled up to
+        size_bound first; under "both" the two tables must agree on every m,
+        and a "yes" of the ideal backend must find its witness in the norm
+        table. A real order whose exact search bound at size_bound passes
+        the ceiling asks contains(m) for each m instead.
         """
-        neg = not self.order.is_imaginary
-        if (neg and size_bound > self._norms_bound
-                and exact_real_search_bound(self.order, size_bound) <= _REAL_SEARCH_CEILING):
-            self._norms = real_norm_table(self.order, size_bound)
+        order = self.order
+        signs = (1,) if order.is_imaginary else (1, -1)
+        if size_bound > self._norms_bound and (
+                order.is_imaginary
+                or exact_real_search_bound(order, size_bound) <= _REAL_SEARCH_CEILING):
+            if self._backend() != "form_search":
+                self._classes = ideal_class_table(_ideal_group(order), size_bound)
+            self._norms = (imag_norm_table if order.is_imaginary
+                           else real_norm_table)(order, size_bound)
             self._norms_bound = size_bound
+        window = [s * k for k in range(2, size_bound + 1) for s in signs]
+        if size_bound > self._norms_bound:
+            return [m for m in window if self.contains(m).answer == "yes"]
+        if self._classes is None:
+            return [m for m in window if m in self._norms]
+        cg = _ideal_group(order)
+        both = self._backend() == "both"
         out = []
-        for k in range(2, size_bound + 1):
-            for m in ((k, -k) if neg else (k,)):
-                if self.contains(m).answer == "yes":
-                    out.append(m)
+        for m in window:
+            ideal = _is_ideal_norm(cg, m, self._classes)
+            if ideal and m not in self._norms:
+                raise _uncertified(order, m)
+            if both and not ideal and m in self._norms:
+                raise _disagreement(self, m, "yes", "no")
+            if ideal:
+                out.append(m)
         return out
 
     def __str__(self):
@@ -204,10 +238,13 @@ def _search(order: QuadraticOrder, m: int, bound: int | None,
     exact bound). An imaginary search is exact: the canonical associate of
     its first solution, both bounds None. A real search with no bound runs
     at the exact bound, refused with NeedsBound above the ceiling; a bound
-    searches up to the exact bound at most. At the exact bound a norm table
-    covering m answers instead.
+    searches up to the exact bound at most. A norm table covering m answers
+    every imaginary search, and every real one at the exact bound.
     """
     if order.is_imaginary:
+        if table is not None:
+            hit = table.get(m)
+            return ([] if hit is None else [hit]), None, None
         sols = elements_of_norm(order, m)
         return [canonical_associate(x) for x in sols[:1]], None, None
     exact_b = exact_real_search_bound(order, m)
@@ -232,16 +269,44 @@ def _form_search_contains(order: QuadraticOrder, m: int, bound: int | None,
     return Verdict("unknown", None, sb, "form_search", m)
 
 
-def _ideal_contains(order: QuadraticOrder, m: int, bound: int | None,
-                    table: dict | None) -> Verdict:
+def _ideal_group(order: QuadraticOrder) -> ClassGroupData:
+    """The class group the ideal backend reads: the form class group of an
+    imaginary maximal order, the narrow one of a real maximal order (its
+    neg_principal_index carries the sign of a norm).
+    """
     if not order.is_maximal:
         raise ValueError("the ideal-theoretic backend needs a maximal order")
     D = order.discriminant
-    cg = class_group_imaginary(D) if order.is_imaginary else narrow_class_group_real(D)
+    return class_group_imaginary(D) if order.is_imaginary else narrow_class_group_real(D)
+
+
+def _disagreement(ns: NormsetHandle, m: int, form: str, ideal: str) -> AssertionError:
+    return AssertionError(f"backend disagreement at m={m} in {ns}: "
+                          f"form_search={form}, ideal_theoretic={ideal}")
+
+
+def _uncertified(order: QuadraticOrder, m: int) -> AssertionError:
+    return AssertionError(f"ideal backend certified norm {m} in {order} but the "
+                          f"exact element search found nothing")
+
+
+def _is_ideal_norm(cg: ClassGroupData, m: int, classes: list | None) -> bool:
+    """Whether some ideal of norm |m| lies in the class that makes m a norm:
+    the principal class for m > 0, the narrow class of the -1 form for
+    m < 0. The classes of norm |m| come from the class table when there is
+    one.
+    """
     # imaginary norms are positive: a definite group has no neg_principal_index
     target = cg.identity_index if m > 0 else cg.neg_principal_index
-    opts = None if target is None else ideal_class_options(cg, abs(m))
-    if opts is None or target not in opts:
+    if target is None:
+        return False
+    opts = classes[abs(m)] if classes is not None else ideal_class_options(cg, abs(m))
+    return opts is not None and target in opts
+
+
+def _ideal_contains(order: QuadraticOrder, m: int, bound: int | None,
+                    table: dict | None, classes: list | None) -> Verdict:
+    if not _is_ideal_norm(_ideal_group(order), m, classes):
         return Verdict("no", None, None, "ideal_theoretic", m)
     wit = _element_witness(order, m, bound, table)
     return Verdict("yes", wit, None, "ideal_theoretic", m)
@@ -260,9 +325,7 @@ def _element_witness(order: QuadraticOrder, m: int, bound: int | None,
             f"norm {m} in {order} has an element but none with |b| <= {sb}; "
             f"the exact search needs |b| <= {exact_b}")
     if not sols:
-        raise AssertionError(
-            f"ideal backend certified norm {m} in {order} but the exact "
-            f"element search found nothing")
+        raise _uncertified(order, m)
     return sols[0]
 
 
@@ -497,8 +560,7 @@ def norm_group_window(order: QuadraticOrder, B: int):
     cg = class_group_imaginary(order.discriminant)
     ident = cg.identity_index
     H = {ident}
-    for q in range(1, B + 1):
-        opts = ideal_class_options(cg, q)
+    for opts in ideal_class_table(cg, B)[1:]:
         if opts is not None and ident in opts:
             H |= opts
     while True:

@@ -23,6 +23,11 @@ orders get elements_of_norm with unit reduction, and fundamental units via
 the continued fraction of w. Real norm searches at the exact bound, and the
 window table of real_norm_table, walk only the integer fundamental domain
 of canonical_associate, so they test signs instead of sliding by units.
+The imaginary window table, imag_norm_table, walks the ellipse
+t^2 + |D|*b^2 <= 4*B once instead of solving each norm m <= B on its own.
+Both tables hold, for every norm of the window, the solution a single
+exact search for that norm returns; a normset window reads them beside the
+ideal backend's class sieve (class_groups.ideal_class_table).
 """
 
 from __future__ import annotations
@@ -437,6 +442,15 @@ def _real_domain_scan(order: QuadraticOrder, lo: int, hi: int, b_max: int):
             t += 2
 
 
+def _least_by_norm(scan) -> dict[int, QuadElem]:
+    """{m: the least x under _sol_key} over the (m, x) of a scan, |m| >= 2."""
+    table: dict[int, QuadElem] = {}
+    for m, x in scan:
+        if abs(m) >= 2 and (m not in table or _sol_key(x) < _sol_key(table[m])):
+            table[m] = x
+    return table
+
+
 def real_norm_table(order: QuadraticOrder, bound: int) -> dict[int, QuadElem]:
     """{m: least canonical same-norm element of norm m} over every norm
     2 <= |m| <= bound of the real order, from one domain sweep up to
@@ -444,12 +458,34 @@ def real_norm_table(order: QuadraticOrder, bound: int) -> dict[int, QuadElem]:
     elements_of_norm returns at the exact bound; norms absent from the
     table are not norms.
     """
-    table: dict[int, QuadElem] = {}
     b_max = exact_real_search_bound(order, bound)
-    for m, x in _real_domain_scan(order, -bound, bound, b_max):
-        if abs(m) >= 2 and (m not in table or _sol_key(x) < _sol_key(table[m])):
-            table[m] = x
-    return table
+    return _least_by_norm(_real_domain_scan(order, -bound, bound, b_max))
+
+
+def _ellipse_scan(order: QuadraticOrder, bound: int):
+    """Yield (N(x), x) for every element x = a + b*w of the imaginary order
+    with N(x) <= bound: 4*N(x) = t^2 + |D|*b^2 with t = 2a + p*b, so b walks
+    |b| <= isqrt(4*bound/|D|) and t the t = p*b (mod 2) inside the ellipse.
+    """
+    nD, p = -order.discriminant, order.p
+    hi4 = 4 * bound
+    b_max = isqrt(hi4 // nD)
+    for b in range(-b_max, b_max + 1):
+        base = nD * b * b
+        t_max = isqrt(hi4 - base)
+        for t in range(-t_max + ((t_max + p * b) & 1), t_max + 1, 2):
+            yield (t * t + base) // 4, QuadElem(order, (t - p * b) // 2, b)
+
+
+def imag_norm_table(order: QuadraticOrder, bound: int) -> dict[int, QuadElem]:
+    """{m: canonical associate of the least element of norm m under _sol_key}
+    over every norm 2 <= m <= bound of the imaginary order, from one sweep
+    of the ellipse N(x) <= bound. Each entry is
+    canonical_associate(elements_of_norm(order, m)[0]), the witness of the
+    exact search for m; norms absent from the table are not norms.
+    """
+    table = _least_by_norm(_ellipse_scan(order, bound))
+    return {m: canonical_associate(x) for m, x in table.items()}
 
 
 def elements_of_norm(order: QuadraticOrder, m: int, search_bound: int | None = None) -> NormSolutions:

@@ -34,6 +34,7 @@ from normset_lab import (
     splitting_type,
 )
 from normset_lab.class_groups import (
+    ideal_class_table,
     is_reduced_definite,
     is_reduced_indefinite,
     reduce_definite,
@@ -448,3 +449,27 @@ def test_ideal_class_options_closed_under_composition():
         assert o12 is not None
         prods = {cg.compose_indices(x, y) for x in o1 for y in o2}
         assert prods <= o12, (q1, q2)
+
+
+# fundamental discriminants: definite groups, and narrow groups of real
+# fields whose fundamental unit has norm +1 (12, 40, 136) or -1 (5, 145)
+SIEVE_DISCRIMINANTS = [-3, -4, -20, -23, -40, -56, -164, 5, 12, 40, 136, 145]
+
+
+@pytest.mark.parametrize("D", SIEVE_DISCRIMINANTS)
+def test_ideal_class_table_matches_options(D):
+    cg = class_group_imaginary(D) if D < 0 else narrow_class_group_real(D)
+    table = ideal_class_table(cg, 300)
+    assert len(table) == 301 and table[0] is None
+    for q in range(1, 301):
+        assert table[q] == ideal_class_options(cg, q), q
+
+
+def test_sieve_discriminants_cover_every_prime_power_kind():
+    # (splitting, exponent) of the prime powers <= 300 the sieve builds
+    kinds = {(splitting_type(order_of(D if D % 4 == 1 else D // 4), p).kind, e)
+             for D in SIEVE_DISCRIMINANTS
+             for p in range(2, 18) if all(p % k for k in range(2, p))
+             for e in range(1, 9) if p ** e <= 300}
+    assert {("inert", 1), ("inert", 2), ("inert", 3), ("ramified", 1),
+            ("ramified", 2), ("ramified", 3), ("split", 3)} <= kinds

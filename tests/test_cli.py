@@ -396,6 +396,9 @@ GOLDEN_COMMANDS = {
     "atoms_34": "normset atoms --d 34 --bound 100",
     "atoms_97": "normset atoms --d 97 --bound 100",
     "atoms_13_2": "normset atoms --d 13 --n 2 --bound 60",
+    "atoms_-1": "normset atoms --d -1 --bound 100",
+    "atoms_-3_2": "normset atoms --d -3 --n 2 --bound 100",
+    "atoms_2_3": "normset atoms --d 2 --n 3 --bound 100",
     "factor_-10": "normset factor --d -10 --value 196",
     "factor_-5": "normset factor --d -5 --value 36",
     "factor_-41": "normset factor --d -41 --value 2025",
@@ -408,6 +411,7 @@ GOLDEN_COMMANDS = {
     "saturation_34": "saturation --d 34",
     "saturation_-14": "saturation --d -14 --bound 100",
     "saturation_10": "saturation --d 10 --bound 100",
+    "saturation_15": "saturation --d 15 --bound 200",
     "hfd_-14": "hfd --d -14",
     "hfd_-14_text": "hfd --d -14 --format text",
     "hfd_-3_2": "hfd --d -3 --n 2",
@@ -428,6 +432,7 @@ GOLDEN_COMMANDS = {
     "davenport_2_2_2_2_2": "davenport --group 2,2,2,2,2",
     "davenport_8_8": "davenport --group 8,8",
     "elasticity_-10007": "elasticity --d -10007 --bound 50",
+    "elasticity_-23": "elasticity --d -23 --bound 300",
     "valnet_member": "valnet m2.net member M1:40,M2:40",
     "valnet_accp": "valnet m2.net accp M1:40,M2:40 3",
     "valnet_accp_12": "valnet m2.net accp M1:12,M2:12 14",

@@ -26,6 +26,7 @@ from normset_lab import (
     order_of,
     strong_saturation_check,
 )
+import normset_lab.normsets as normsets
 from normset_lab.arith import divisors, is_squarefree
 from normset_lab.normsets import Verdict
 from normset_lab.quadratic import exact_real_search_bound, order_fundamental_unit
@@ -159,9 +160,12 @@ def test_ideal_witness_at_or_above_exact_bound_is_unchanged():
 
 
 @pytest.mark.parametrize("policy,orders", [
-    ("auto", [(2, 1), (5, 1), (10, 1), (13, 1), (34, 1), (155, 1)]),
-    ("form_search", [(2, 1), (10, 1), (13, 1), (2, 2), (3, 2), (5, 2), (5, 3)]),
-    ("both", [(2, 1), (5, 1), (10, 1), (34, 1)]),
+    ("auto", [(2, 1), (5, 1), (10, 1), (13, 1), (34, 1), (155, 1),
+              (-1, 1), (-5, 1), (-3, 2)]),
+    ("form_search", [(2, 1), (10, 1), (13, 1), (2, 2), (3, 2), (5, 2), (5, 3),
+                     (-2, 1), (-23, 3)]),
+    ("both", [(2, 1), (5, 1), (10, 1), (34, 1), (-5, 1), (-14, 1)]),
+    ("ideal_theoretic", [(2, 1), (5, 1), (34, 1), (-1, 1), (-3, 1), (-23, 1)]),
 ])
 def test_norm_table_verdicts_equal_fresh_handle(policy, orders):
     for d, n in orders:
@@ -169,9 +173,13 @@ def test_norm_table_verdicts_equal_fresh_handle(policy, orders):
         ns = NormsetHandle(order, policy=policy)
         ns.members_up_to(120)
         assert ns._norms_bound == 120
-        for m in (7, -7, 2, -119, 120):
-            exact_b = exact_real_search_bound(order, m)
-            for bound in (1, exact_b, exact_b + 3):
+        for m in (7, -7, 2, 6, 9, -119, 120):
+            if order.is_imaginary:
+                bounds = (None, 1)  # an imaginary search ignores the bound
+            else:
+                exact_b = exact_real_search_bound(order, m)
+                bounds = (1, exact_b, exact_b + 3)
+            for bound in bounds:
                 try:
                     ns.contains(m, bound)
                 except NeedsBound:
@@ -179,6 +187,74 @@ def test_norm_table_verdicts_equal_fresh_handle(policy, orders):
         assert ns._verdicts
         for (m, bound), v in ns._verdicts.items():
             assert NormsetHandle(order, policy=policy).contains(m, bound) == v, (d, n, m, bound)
+
+
+# imaginary and real, maximal and non-maximal
+WINDOW_ORDERS = [(-1, 1), (-3, 1), (-5, 1), (-23, 1), (-3, 2), (-5, 3),
+                 (2, 1), (5, 1), (10, 1), (15, 1), (34, 1), (13, 2), (2, 3), (6, 3)]
+
+
+@pytest.mark.parametrize("policy", ["auto", "form_search", "ideal_theoretic", "both"])
+def test_members_up_to_matches_per_m_loop(policy):
+    for d, n in WINDOW_ORDERS:
+        order = order_of(d, n)
+        signs = (1,) if order.is_imaginary else (1, -1)
+        fresh = NormsetHandle(order, policy=policy)
+
+        def loop():
+            return [s * k for k in range(2, 151) for s in signs
+                    if fresh.contains(s * k).answer == "yes"]
+
+        window = NormsetHandle(order, policy=policy)
+        if n > 1 and policy in ("ideal_theoretic", "both"):
+            for run in (loop, lambda: window.members_up_to(150)):
+                with pytest.raises(ValueError, match="maximal order"):
+                    run()
+            continue
+        assert window.members_up_to(150) == loop(), (d, n)
+
+
+@pytest.mark.parametrize("d,n", [(-5, 2), (-3, 3), (13, 2), (2, 3)])
+def test_ideal_backend_window_refuses_non_maximal_orders(d, n):
+    with pytest.raises(ValueError, match="maximal order"):
+        NormsetHandle(order_of(d, n), policy="ideal_theoretic").members_up_to(60)
+
+
+@pytest.mark.parametrize("d,builder,dropped,error", [
+    # 6 = N(1 + sqrt(-5)) and -9 = N(5 + sqrt(34)), each dropped from one table
+    (-5, "imag_norm_table", 6, "ideal backend certified norm 6 "),
+    (34, "real_norm_table", -9, "ideal backend certified norm -9 "),
+    (-5, "ideal_class_table", 6, "backend disagreement at m=6 "),
+    (34, "ideal_class_table", -9, "backend disagreement at m=-9 "),
+])
+def test_policy_both_cross_checks_the_whole_window(monkeypatch, d, builder,
+                                                   dropped, error):
+    build = getattr(normsets, builder)
+
+    def doctored(arg, bound):
+        table = build(arg, bound)
+        if builder == "ideal_class_table":  # arg is the class group
+            table[abs(dropped)] -= {arg.identity_index if dropped > 0
+                                    else arg.neg_principal_index}
+        else:
+            del table[dropped]
+        return table
+
+    monkeypatch.setattr(normsets, builder, doctored)
+    with pytest.raises(AssertionError, match=error):
+        NormsetHandle(order_of(d), policy="both").members_up_to(60)
+
+
+def test_windows_make_no_per_norm_searches(monkeypatch):
+    calls = {"elements_of_norm": 0, "ideal_class_options": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(normsets, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(normsets, name, counted)
+    assert irreducibles_up_to(normset_of(order_of(-23)), 400)
+    assert irreducibles_up_to(normset_of(order_of(34)), 300)
+    assert calls == {"elements_of_norm": 0, "ideal_class_options": 0}
 
 
 def test_verdict_record_shape():

@@ -9,10 +9,10 @@ from normset_lab.quadratic import (HALF_KIND, _canonical_key,
                                    canonical_associate, divide_exact,
                                    element_monoid_view, elements_of_norm,
                                    exact_real_search_bound, factor_element,
-                                   fundamental_unit, is_irreducible,
-                                   norm_plus_unit, order_fundamental_unit,
-                                   order_of, parse_element, real_norm_table,
-                                   units)
+                                   fundamental_unit, imag_norm_table,
+                                   is_irreducible, norm_plus_unit,
+                                   order_fundamental_unit, order_of,
+                                   parse_element, real_norm_table, units)
 
 ORDERS = [order_of(-1), order_of(-3), order_of(-7), order_of(-10),
           order_of(-14), order_of(-3, 2), order_of(-2, 3), order_of(-1, 2),
@@ -403,6 +403,24 @@ def test_real_table_orders_cover_kinds_and_unit_signs():
     assert {(k, n) for k, n, _ in seen} == {(k, n) for k in (HALF_KIND, "sqrt_d")
                                             for n in (1, 2, 3)}
     assert {s for _, _, s in seen} == {1, -1}
+
+
+# both kinds, n = 1, 2, 3; Z[i] and Z[(1+sqrt(-3))/2] carry the extra units
+IMAG_TABLE_ORDERS = [(d, n) for d in (-1, -2, -3, -5, -23) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("d,n", IMAG_TABLE_ORDERS)
+def test_imag_norm_table_matches_exact_search(d, n):
+    order = order_of(d, n)
+    table = imag_norm_table(order, 200)
+    assert all(2 <= m <= 200 for m in table)
+    for m in range(2, 201):
+        sols = elements_of_norm(order, m)
+        assert table.get(m) == (canonical_associate(sols[0]) if sols else None), m
+
+
+def test_imag_table_orders_cover_extra_units():
+    assert {len(units(order_of(d, n))) for d, n in IMAG_TABLE_ORDERS} == {2, 4, 6}
 
 
 def test_short_bound_search_keeps_canonicalizing_scan():
