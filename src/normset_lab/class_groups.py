@@ -469,12 +469,26 @@ def prime_form(D: int, p: int) -> BQForm:
     raise ValueError(f"{p} is inert at discriminant {D}; no ideal of norm {p}")
 
 
+def _conductor(D: int) -> int:
+    """The f of D = f^2 * D_K: the largest f with D / f^2 = 0 or 1 (mod 4)."""
+    f = 1
+    for p, e in factorize(abs(D)):
+        while e >= 2 and (D // (f * p) ** 2) % 4 < 2:
+            f, e = f * p, e - 2
+    return f
+
+
 def _prime_ideal(cg: ClassGroupData, p: int) -> tuple[int, int | None]:
     """(chi, class): the Kronecker symbol of p (-1 inert, 0 ramified, 1 split)
-    and the class index of a prime ideal above p, None when p is inert.
+    and the class index of a prime ideal above p, None when p is inert. The
+    ideals above a prime of the conductor are not invertible: ValueError.
     """
-    chi = kronecker(cg.discriminant, p)
-    return chi, (None if chi == -1 else cg.index_of(prime_form(cg.discriminant, p)))
+    D = cg.discriminant
+    chi = kronecker(D, p)
+    if chi == 0 and D % (p * p) == 0 and D // (p * p) % 4 < 2:  # D / p^2 a discriminant
+        raise ValueError(f"p = {p} divides the conductor {_conductor(D)} of D = {D}; "
+                         f"the ideals above it have no class")
+    return chi, (None if chi == -1 else cg.index_of(prime_form(D, p)))
 
 
 def _prime_power_options(cg: ClassGroupData, chi: int, pi: int | None,
@@ -495,7 +509,8 @@ def _prime_power_options(cg: ClassGroupData, chi: int, pi: int | None,
 def ideal_class_options(cg: ClassGroupData, q: int) -> set[int] | None:
     """Indices of the classes containing an ideal of norm q, or None when no
     ideal of norm q exists: the composition over the prime powers p^e of q
-    of their options (_prime_power_options).
+    of their options (_prime_power_options). A prime of q that divides the
+    conductor of the group's discriminant is refused with ValueError.
     """
     if q < 1:
         raise ValueError("ideal norms are positive")
@@ -513,7 +528,9 @@ def ideal_class_table(cg: ClassGroupData, bound: int) -> list[set[int] | None]:
     0 holds None. A smallest-prime-factor sieve writes q = p^e * r with p
     the least prime of q. A prime power gets its options directly, from the
     class of p, which is reduced once per table; any other q composes the
-    entries of p^e and r, both already in the table.
+    entries of p^e and r, both already in the table. A prime <= bound that
+    divides the conductor of the group's discriminant is refused with
+    ValueError.
     """
     spf = list(range(bound + 1))
     for i in range(2, bound + 1):

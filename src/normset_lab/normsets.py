@@ -44,13 +44,11 @@ from .monoid_core import FactorMultiset, FactorSession, MonoidView
 from .quadratic import (
     QuadElem,
     QuadraticOrder,
-    canonical_associate,
     divide_exact,
     elements_of_norm,
     exact_real_search_bound,
-    imag_norm_table,
+    norm_table,
     order_fundamental_unit,
-    real_norm_table,
 )
 
 _POLICIES = ("auto", "form_search", "ideal_theoretic", "both")
@@ -109,16 +107,15 @@ class NormsetHandle:
 
     Besides its verdict memo, a handle holds the window tables that
     members_up_to(B) fills for every 2 <= |m| <= B: always a norm table of
-    the element backend, from one sweep (quadratic.imag_norm_table walks the
-    ellipse N(x) <= B of an imaginary order, quadratic.real_norm_table the
-    fundamental domain of a real one), and, when the policy asks the ideal
-    backend, a class table (class_groups.ideal_class_table, one sieve). The
-    window's membership is read from them, and every later query of such an
-    m that would search at the exact bound, or compute the classes of
-    norm |m|, reads them too, with the same verdict. A real order whose
-    exact search bound at B passes the ceiling gets no tables and asks each
-    m in turn. Memo and tables are caches only; concurrent queries at worst
-    recompute an entry.
+    the element backend (quadratic.norm_table(order, -B, B), one norm scan
+    on either kind of order), and, when the policy asks the ideal backend, a
+    class table (class_groups.ideal_class_table, one sieve). The window's
+    membership is read from them, and every later query of such an m that
+    would search at the exact bound, or compute the classes of norm |m|,
+    reads them too, with the same verdict. A real order whose exact search
+    bound at B passes the ceiling gets no tables and asks each m in turn.
+    Memo and tables are caches only; concurrent queries at worst recompute
+    an entry.
     """
 
     def __init__(self, order: QuadraticOrder, policy: str = "auto"):
@@ -190,8 +187,7 @@ class NormsetHandle:
                 or exact_real_search_bound(order, size_bound) <= _REAL_SEARCH_CEILING):
             if self._backend() != "form_search":
                 self._classes = ideal_class_table(_ideal_group(order), size_bound)
-            self._norms = (imag_norm_table if order.is_imaginary
-                           else real_norm_table)(order, size_bound)
+            self._norms = norm_table(order, -size_bound, size_bound)
             self._norms_bound = size_bound
         window = [s * k for k in range(2, size_bound + 1) for s in signs]
         if size_bound > self._norms_bound:
@@ -235,26 +231,21 @@ def _unit_verdict(order: QuadraticOrder, m: int) -> Verdict:
 def _search(order: QuadraticOrder, m: int, bound: int | None,
             table: dict | None) -> tuple[list[QuadElem], int | None, int | None]:
     """The element search under the bound rule, as (solutions, bound used,
-    exact bound). An imaginary search is exact: the canonical associate of
-    its first solution, both bounds None. A real search with no bound runs
-    at the exact bound, refused with NeedsBound above the ceiling; a bound
-    searches up to the exact bound at most. A norm table covering m answers
-    every imaginary search, and every real one at the exact bound.
+    exact bound). The exact bound is None on imaginary orders, whose search
+    is always exact. A real search with no bound runs at the exact bound,
+    refused with NeedsBound above the ceiling; a bound searches up to the
+    exact bound at most. A search at the exact bound returns the entry for m
+    of a norm table: the window's when it covers m, else norm_table(order,
+    m, m).
     """
-    if order.is_imaginary:
-        if table is not None:
-            hit = table.get(m)
-            return ([] if hit is None else [hit]), None, None
-        sols = elements_of_norm(order, m)
-        return [canonical_associate(x) for x in sols[:1]], None, None
-    exact_b = exact_real_search_bound(order, m)
-    if bound is None and exact_b > _REAL_SEARCH_CEILING:
+    exact_b = None if order.is_imaginary else exact_real_search_bound(order, m)
+    if bound is None and exact_b is not None and exact_b > _REAL_SEARCH_CEILING:
         raise NeedsBound(
             f"exact search for norm {m} in {order} needs |b| <= {exact_b}; "
             f"pass an explicit bound")
-    sb = exact_b if bound is None else min(bound, exact_b)
-    if table is not None and sb == exact_b:
-        hit = table.get(m)
+    sb = exact_b if bound is None or exact_b is None else min(bound, exact_b)
+    if sb == exact_b:
+        hit = (norm_table(order, m, m) if table is None else table).get(m)
         return ([] if hit is None else [hit]), sb, exact_b
     return elements_of_norm(order, m, search_bound=sb), sb, exact_b
 

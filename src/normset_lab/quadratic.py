@@ -20,14 +20,14 @@ Everything is exact integer arithmetic; there is not a float in sight.
 Element factorization enumerates divisors through elements_of_norm and is
 offered for imaginary orders only, where the unit group is finite. Real
 orders get elements_of_norm with unit reduction, and fundamental units via
-the continued fraction of w. Real norm searches at the exact bound, and the
-window table of real_norm_table, walk only the integer fundamental domain
-of canonical_associate, so they test signs instead of sliding by units.
-The imaginary window table, imag_norm_table, walks the ellipse
-t^2 + |D|*b^2 <= 4*B once instead of solving each norm m <= B on its own.
-Both tables hold, for every norm of the window, the solution a single
-exact search for that norm returns; a normset window reads them beside the
-ideal backend's class sieve (class_groups.ideal_class_table).
+the continued fraction of w. Every norm search and table runs one scan,
+_norm_scan, over the roots t >= 0 of t^2 = 4N + D*b^2 for N in a range and
+b in a range; the solutions with t < 0 are the negatives. norm_table(order,
+lo, hi) keeps, for every norm of the range, the solution a single exact
+search for that norm returns: on a real order it walks only the integer
+fundamental domain of canonical_associate, testing signs instead of sliding
+by units. A normset window reads it beside the ideal backend's class sieve
+(class_groups.ideal_class_table).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt
 
-from .arith import divisors, is_square, is_squarefree
+from .arith import divisors, is_squarefree
 from .errors import BadDiscriminant, NeedsBound
 from .monoid_core import FactorMultiset, FactorSession, MonoidView
 
@@ -57,10 +57,6 @@ class QuadraticField:
     @property
     def field_discriminant(self) -> int:
         return self.d if self.d % 4 == 1 else 4 * self.d
-
-    @property
-    def is_imaginary(self) -> bool:
-        return self.d < 0
 
     def __str__(self):
         return f"Q(sqrt({self.d}))"
@@ -397,124 +393,112 @@ def _sol_key(x: QuadElem) -> tuple:
     return (abs(x.a), abs(x.b), x.a < 0, x.b < 0)
 
 
-def _norm_solutions(order: QuadraticOrder, m: int, bmax: int) -> list[QuadElem]:
-    """Every element a + b*w of norm m with |b| <= bmax, unreduced: the roots
-    t = 2a + p*b of t^2 = 4m + D*b^2. D = p^2 (mod 4) forces t = p*b
-    (mod 2), so every root gives an element.
+def _norm_scan(order: QuadraticOrder, lo: int, hi: int, bs):
+    """Yield (N, t, b) for every root t >= 0 of t^2 = 4N + D*b^2 with
+    lo <= N <= hi and b in bs: the elements (t - p*b)/2 + b*w of norm N.
+    D = p^2 (mod 4) forces t = p*b (mod 2), so every such t gives one; the
+    negatives, with -t, are the other solutions. Each b walks t down from
+    isqrt(4*hi + D*b^2), so a b with no root in range costs one isqrt.
     """
     D, p = order.discriminant, order.p
-    out = []
-    for b in range(-bmax, bmax + 1):
-        t2 = 4 * m + D * b * b
-        if is_square(t2):
-            t = isqrt(t2)
-            for tt in {t, -t}:
-                out.append(QuadElem(order, (tt - p * b) // 2, b))
-    return out
-
-
-def _real_domain_scan(order: QuadraticOrder, lo: int, hi: int, b_max: int):
-    """Yield (N(x), x) for every element x = a + b*w of the real order with
-    lo <= N(x) <= hi and 0 <= b <= b_max that lies in the fundamental domain
-    of canonical_associate(., same_norm=True): positive embedding in
-    [sqrt|N|, sqrt|N| * u), u = norm_plus_unit(order).
-
-    Write 2*emb(x) = t + b*sqrt(D), t = 2a + p*b, and take (P, Q) the same
-    way from u. Then emb(x) >= sqrt|N| iff t >= 0 and b >= 0, and
-    emb(x) < sqrt|N| * u iff y = x * conj(u) fails that test, i.e.
-    t*P < D*b*Q or b*P < t*Q. So one pass over b walks only the t = p*b
-    (mod 2) with t^2 - D*b^2 in [4*lo, 4*hi], and keeps the canonical ones
-    by integer sign tests.
-    """
-    D, p = order.discriminant, order.p
-    u = norm_plus_unit(order)
-    P, Q = 2 * u.a + p * u.b, u.b
     lo4, hi4 = 4 * lo, 4 * hi
-    for b in range(b_max + 1):
+    for b in bs:
         base = D * b * b
-        low = base + lo4
-        t = isqrt(low - 1) + 1 if low > 0 else 0
-        t += (t - p * b) & 1
         top = base + hi4
-        while t * t <= top:
-            if t * P < D * b * Q or b * P < t * Q:
-                yield (t * t - base) // 4, QuadElem(order, (t - p * b) // 2, b)
-            t += 2
+        if top < 0:
+            continue
+        t = isqrt(top)
+        low = base + lo4
+        if t * t < low:
+            continue
+        t -= (t - p * b) & 1
+        while t >= 0 and t * t >= low:
+            yield (t * t - base) // 4, t, b
+            t -= 2
 
 
-def _least_by_norm(scan) -> dict[int, QuadElem]:
-    """{m: the least x under _sol_key} over the (m, x) of a scan, |m| >= 2."""
-    table: dict[int, QuadElem] = {}
-    for m, x in scan:
-        if abs(m) >= 2 and (m not in table or _sol_key(x) < _sol_key(table[m])):
-            table[m] = x
-    return table
+def _imag_bs(order: QuadraticOrder, hi: int) -> range:
+    """The b of the elements of norm <= hi: |D|*b^2 <= 4*N."""
+    b_max = isqrt(4 * max(hi, 0) // -order.discriminant)
+    return range(-b_max, b_max + 1)
 
 
-def real_norm_table(order: QuadraticOrder, bound: int) -> dict[int, QuadElem]:
-    """{m: least canonical same-norm element of norm m} over every norm
-    2 <= |m| <= bound of the real order, from one domain sweep up to
-    exact_real_search_bound(order, bound). Each entry is the first solution
-    elements_of_norm returns at the exact bound; norms absent from the
-    table are not norms.
+def _domain_roots(order: QuadraticOrder, lo: int, hi: int, b_max: int) -> list:
+    """The (N, t, b) of _norm_scan over 0 <= b <= b_max whose element x lies
+    in the fundamental domain of canonical_associate(., same_norm=True),
+    emb(x) in [sqrt|N|, sqrt|N| * u) for u = norm_plus_unit(order). Since
+    2*emb(x) = t + b*sqrt(D), the lower end is t, b >= 0, and with (P, Q)
+    taken from u as (t, b) from x, the upper end holds iff x * conj(u)
+    fails that test: t*P < D*b*Q or b*P < t*Q.
     """
-    b_max = exact_real_search_bound(order, bound)
-    return _least_by_norm(_real_domain_scan(order, -bound, bound, b_max))
+    u = norm_plus_unit(order)
+    D, P, Q = order.discriminant, 2 * u.a + order.p * u.b, u.b
+    return [(m, t, b) for m, t, b in _norm_scan(order, lo, hi, range(b_max + 1))
+            if t * P < D * b * Q or b * P < t * Q]
 
 
-def _ellipse_scan(order: QuadraticOrder, bound: int):
-    """Yield (N(x), x) for every element x = a + b*w of the imaginary order
-    with N(x) <= bound: 4*N(x) = t^2 + |D|*b^2 with t = 2a + p*b, so b walks
-    |b| <= isqrt(4*bound/|D|) and t the t = p*b (mod 2) inside the ellipse.
+def norm_table(order: QuadraticOrder, lo: int, hi: int) -> dict[int, QuadElem]:
+    """{m: the witness of the exact search for m} over every norm m of the
+    order with lo <= m <= hi and |m| >= 2; norms of the range absent from
+    the table are not norms. Imaginary: the canonical associate of the least
+    solution under _sol_key; the scan gives those with t >= 0, and x and -x
+    share their canonical associate, so the lesser key of the two stands for
+    both. Real: the least element under _sol_key in the fundamental domain
+    (_domain_roots) with b <= exact_real_search_bound(order, max(|lo|, |hi|)),
+    the first solution elements_of_norm returns at the exact bound.
     """
-    nD, p = -order.discriminant, order.p
-    hi4 = 4 * bound
-    b_max = isqrt(hi4 // nD)
-    for b in range(-b_max, b_max + 1):
-        base = nD * b * b
-        t_max = isqrt(hi4 - base)
-        for t in range(-t_max + ((t_max + p * b) & 1), t_max + 1, 2):
-            yield (t * t + base) // 4, QuadElem(order, (t - p * b) // 2, b)
-
-
-def imag_norm_table(order: QuadraticOrder, bound: int) -> dict[int, QuadElem]:
-    """{m: canonical associate of the least element of norm m under _sol_key}
-    over every norm 2 <= m <= bound of the imaginary order, from one sweep
-    of the ellipse N(x) <= bound. Each entry is
-    canonical_associate(elements_of_norm(order, m)[0]), the witness of the
-    exact search for m; norms absent from the table are not norms.
-    """
-    table = _least_by_norm(_ellipse_scan(order, bound))
-    return {m: canonical_associate(x) for m, x in table.items()}
+    p, imag = order.p, order.is_imaginary
+    if imag:
+        roots = _norm_scan(order, lo, hi, _imag_bs(order, hi))
+    else:
+        roots = _domain_roots(order, lo, hi,
+                              exact_real_search_bound(order, max(abs(lo), abs(hi))))
+    best: dict[int, tuple] = {}
+    for m, t, b in roots:
+        if -2 < m < 2:
+            continue
+        a = (t - p * b) // 2
+        signs = (a < 0, b < 0)
+        key = (abs(a), abs(b), min(signs, (a > 0, b > 0)) if imag else signs)
+        old = best.get(m)
+        if old is None or key < old[0]:
+            best[m] = key, a, b
+    if imag:
+        return {m: canonical_associate(QuadElem(order, a, b)) for m, (_, a, b) in best.items()}
+    return {m: QuadElem(order, a, b) for m, (_, a, b) in best.items()}
 
 
 def elements_of_norm(order: QuadraticOrder, m: int, search_bound: int | None = None) -> NormSolutions:
-    """All order elements of norm m.
+    """All order elements of norm m, sorted by _sol_key.
 
     Imaginary: complete list of every (a, b) solution, exact.
     Real: requires a search bound on |b|; solutions are reduced modulo the
     norm-+1 unit subgroup to canonical same-norm associates, and the result
     is flagged exact when the bound covers the unit-reduction bound. An
-    exact search walks only the fundamental domain (_real_domain_scan); a
-    shorter bound canonicalizes every solution with |b| within it.
+    exact search keeps the elements of the fundamental domain
+    (_domain_roots); a shorter bound canonicalizes the solutions with
+    t >= 0 and |b| within it, since -x is a same-norm associate of x.
     """
     if m == 0:
         raise ValueError("norm 0 only for the zero element")
+    p = order.p
     if order.is_imaginary:
-        if m < 0:
-            return NormSolutions([], exact=True)
-        bmax = isqrt(4 * m // -order.discriminant)
-        return NormSolutions(sorted(_norm_solutions(order, m, bmax), key=_sol_key),
-                             exact=True)
+        sols = []
+        for _, t, b in _norm_scan(order, m, m, _imag_bs(order, m)):
+            a = (t - p * b) // 2
+            sols.append(QuadElem(order, a, b))
+            if t:
+                sols.append(QuadElem(order, -a, -b))
+        return NormSolutions(sorted(sols, key=_sol_key), exact=True)
     if search_bound is None:
         raise NeedsBound(f"norm search in real order {order} needs a b-coordinate bound")
     exact_b = exact_real_search_bound(order, m)
     if search_bound >= exact_b:
-        sols = [x for _, x in _real_domain_scan(order, m, m, exact_b)]
+        sols = [QuadElem(order, (t - p * b) // 2, b)
+                for _, t, b in _domain_roots(order, m, m, exact_b)]
     else:
-        sols = list(dict.fromkeys(
-            canonical_associate(x, same_norm=True)
-            for x in _norm_solutions(order, m, search_bound)))
+        sols = {canonical_associate(QuadElem(order, (t - p * b) // 2, b), same_norm=True)
+                for _, t, b in _norm_scan(order, m, m, range(-search_bound, search_bound + 1))}
     return NormSolutions(sorted(sols, key=_sol_key), exact=search_bound >= exact_b)
 
 

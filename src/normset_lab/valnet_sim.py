@@ -617,7 +617,12 @@ def comaximal_family(m: NetMonoid, b: ValNet, k: int,
             return None
         return [e_net(m.index_set, i) for i in idxs[:k]]
     t = _Table(m, b)
-    pool = sorted(t.divisors(t.vec(b)), key=t.key)
+    # disjointness reads only where a divisor is positive, and the least
+    # family takes the key-least divisor of each positive pattern it uses
+    least: dict[tuple, tuple] = {}
+    for d in sorted(t.divisors(t.vec(b)), key=t.key):
+        least.setdefault(tuple(v > 0 for v in d), d)
+    pool = list(least.values())
 
     def pick(start, acc):
         if len(acc) == k:

@@ -437,6 +437,24 @@ def test_ideal_class_options_validation():
         ideal_class_options(cg, -4)
 
 
+@pytest.mark.parametrize("D,p", [(-12, 2), (-36, 3)])
+def test_conductor_primes_are_refused(D, p):
+    # (2,2,2) at D = -12 and (3,0,3) at D = -36 are not primitive: the
+    # ideals above a prime of the conductor are not invertible
+    cg = class_group_imaginary(D)
+    message = f"p = {p} divides the conductor {p} of D = {D}"
+    with pytest.raises(ValueError, match=message):
+        ideal_class_options(cg, p)
+    with pytest.raises(ValueError, match=message):
+        ideal_class_table(cg, 2 * p)
+
+
+def test_other_primes_of_a_non_maximal_order_keep_their_classes():
+    cg = class_group_imaginary(-12)
+    assert ideal_class_options(cg, 7) == {cg.identity_index}  # 7 = N(2 + sqrt(-3))
+    assert ideal_class_table(cg, 1)[1] == {cg.identity_index}
+
+
 def test_ideal_class_options_closed_under_composition():
     # options(q1) * options(q2) lands inside options(q1*q2)
     cg = class_group_imaginary(-164)

@@ -222,8 +222,8 @@ def test_ideal_backend_window_refuses_non_maximal_orders(d, n):
 
 @pytest.mark.parametrize("d,builder,dropped,error", [
     # 6 = N(1 + sqrt(-5)) and -9 = N(5 + sqrt(34)), each dropped from one table
-    (-5, "imag_norm_table", 6, "ideal backend certified norm 6 "),
-    (34, "real_norm_table", -9, "ideal backend certified norm -9 "),
+    (-5, "norm_table", 6, "ideal backend certified norm 6 "),
+    (34, "norm_table", -9, "ideal backend certified norm -9 "),
     (-5, "ideal_class_table", 6, "backend disagreement at m=6 "),
     (34, "ideal_class_table", -9, "backend disagreement at m=-9 "),
 ])
@@ -231,8 +231,8 @@ def test_policy_both_cross_checks_the_whole_window(monkeypatch, d, builder,
                                                    dropped, error):
     build = getattr(normsets, builder)
 
-    def doctored(arg, bound):
-        table = build(arg, bound)
+    def doctored(arg, *bounds):
+        table = build(arg, *bounds)
         if builder == "ideal_class_table":  # arg is the class group
             table[abs(dropped)] -= {arg.identity_index if dropped > 0
                                     else arg.neg_principal_index}
@@ -246,15 +246,18 @@ def test_policy_both_cross_checks_the_whole_window(monkeypatch, d, builder,
 
 
 def test_windows_make_no_per_norm_searches(monkeypatch):
-    calls = {"elements_of_norm": 0, "ideal_class_options": 0}
+    # a search for one norm runs elements_of_norm or norm_table(order, m, m),
+    # so the only norm_table calls are the two windows'
+    calls = {"elements_of_norm": [], "ideal_class_options": [], "norm_table": []}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(normsets, name), **kwargs):
-            calls[_name] += 1
+            calls[_name].append(args[1:])
             return _fn(*args, **kwargs)
         monkeypatch.setattr(normsets, name, counted)
     assert irreducibles_up_to(normset_of(order_of(-23)), 400)
     assert irreducibles_up_to(normset_of(order_of(34)), 300)
-    assert calls == {"elements_of_norm": 0, "ideal_class_options": 0}
+    assert calls == {"elements_of_norm": [], "ideal_class_options": [],
+                     "norm_table": [(-400, 400), (-300, 300)]}
 
 
 def test_verdict_record_shape():

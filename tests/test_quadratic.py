@@ -5,14 +5,14 @@ from math import isqrt
 
 from normset_lab.arith import divisors, is_square, is_squarefree
 from normset_lab.errors import BadDiscriminant, NeedsBound
-from normset_lab.quadratic import (HALF_KIND, _canonical_key,
-                                   canonical_associate, divide_exact,
-                                   element_monoid_view, elements_of_norm,
-                                   exact_real_search_bound, factor_element,
-                                   fundamental_unit, imag_norm_table,
-                                   is_irreducible, norm_plus_unit,
+from normset_lab.quadratic import (HALF_KIND, QuadElem, _canonical_key,
+                                   _sol_key, canonical_associate,
+                                   divide_exact, element_monoid_view,
+                                   elements_of_norm, exact_real_search_bound,
+                                   factor_element, fundamental_unit,
+                                   is_irreducible, norm_plus_unit, norm_table,
                                    order_fundamental_unit, order_of,
-                                   parse_element, real_norm_table, units)
+                                   parse_element, units)
 
 ORDERS = [order_of(-1), order_of(-3), order_of(-7), order_of(-10),
           order_of(-14), order_of(-3, 2), order_of(-2, 3), order_of(-1, 2),
@@ -387,7 +387,7 @@ REAL_TABLE_ORDERS = [
 @pytest.mark.parametrize("d,n", REAL_TABLE_ORDERS)
 def test_real_norm_table_matches_canonicalizing_scan(d, n):
     order = order_of(d, n)
-    table = real_norm_table(order, 100)
+    table = norm_table(order, -100, 100)
     assert all(2 <= abs(m) <= 100 for m in table)
     for m in (s * k for k in range(2, 101) for s in (1, -1)):
         exact_b = exact_real_search_bound(order, m)
@@ -412,7 +412,7 @@ IMAG_TABLE_ORDERS = [(d, n) for d in (-1, -2, -3, -5, -23) for n in (1, 2, 3)]
 @pytest.mark.parametrize("d,n", IMAG_TABLE_ORDERS)
 def test_imag_norm_table_matches_exact_search(d, n):
     order = order_of(d, n)
-    table = imag_norm_table(order, 200)
+    table = norm_table(order, -200, 200)
     assert all(2 <= m <= 200 for m in table)
     for m in range(2, 201):
         sols = elements_of_norm(order, m)
@@ -421,6 +421,97 @@ def test_imag_norm_table_matches_exact_search(d, n):
 
 def test_imag_table_orders_cover_extra_units():
     assert {len(units(order_of(d, n))) for d, n in IMAG_TABLE_ORDERS} == {2, 4, 6}
+
+
+# The three norm-search loops that one norm scan replaced, kept as oracles.
+
+
+def _norm_solutions(order, m, bmax):
+    """Every element a + b*w of norm m with |b| <= bmax, unreduced: the roots
+    t = 2a + p*b of t^2 = 4m + D*b^2, both signs of t.
+    """
+    D, p = order.discriminant, order.p
+    out = []
+    for b in range(-bmax, bmax + 1):
+        t2 = 4 * m + D * b * b
+        if is_square(t2):
+            t = isqrt(t2)
+            for tt in {t, -t}:
+                out.append(QuadElem(order, (tt - p * b) // 2, b))
+    return out
+
+
+def _real_domain_scan(order, lo, hi, b_max):
+    """(N(x), x) for every x with lo <= N(x) <= hi and 0 <= b <= b_max in the
+    fundamental domain of canonical_associate(., same_norm=True).
+    """
+    D, p = order.discriminant, order.p
+    u = norm_plus_unit(order)
+    P, Q = 2 * u.a + p * u.b, u.b
+    lo4, hi4 = 4 * lo, 4 * hi
+    for b in range(b_max + 1):
+        base = D * b * b
+        low = base + lo4
+        t = isqrt(low - 1) + 1 if low > 0 else 0
+        t += (t - p * b) & 1
+        top = base + hi4
+        while t * t <= top:
+            if t * P < D * b * Q or b * P < t * Q:
+                yield (t * t - base) // 4, QuadElem(order, (t - p * b) // 2, b)
+            t += 2
+
+
+def _ellipse_scan(order, bound):
+    """(N(x), x) for every x of the imaginary order with N(x) <= bound."""
+    nD, p = -order.discriminant, order.p
+    hi4 = 4 * bound
+    b_max = isqrt(hi4 // nD)
+    for b in range(-b_max, b_max + 1):
+        base = nD * b * b
+        t_max = isqrt(hi4 - base)
+        for t in range(-t_max + ((t_max + p * b) & 1), t_max + 1, 2):
+            yield (t * t + base) // 4, QuadElem(order, (t - p * b) // 2, b)
+
+
+def _least_by_norm(scan):
+    table = {}
+    for m, x in scan:
+        if abs(m) >= 2 and (m not in table or _sol_key(x) < _sol_key(table[m])):
+            table[m] = x
+    return table
+
+
+@pytest.mark.parametrize("d,n", REAL_TABLE_ORDERS)
+def test_real_norm_scan_matches_loop_oracles(d, n):
+    order = order_of(d, n)
+    B = 100
+    oracle = _least_by_norm(_real_domain_scan(order, -B, B, exact_real_search_bound(order, B)))
+    assert norm_table(order, -B, B) == oracle
+    for m in (s * k for k in range(1, B + 1) for s in (1, -1)):
+        exact_b = exact_real_search_bound(order, m)
+        assert norm_table(order, m, m) == ({m: oracle[m]} if m in oracle else {}), m
+        sols = elements_of_norm(order, m, exact_b)
+        assert sols.exact and sols == sorted(
+            (x for _, x in _real_domain_scan(order, m, m, exact_b)), key=_sol_key), m
+        short = elements_of_norm(order, m, exact_b // 3)
+        assert not short.exact and short == sorted(dict.fromkeys(
+            canonical_associate(x, same_norm=True)
+            for x in _norm_solutions(order, m, exact_b // 3)), key=_sol_key), m
+
+
+@pytest.mark.parametrize("d,n", IMAG_TABLE_ORDERS)
+def test_imag_norm_scan_matches_loop_oracles(d, n):
+    order = order_of(d, n)
+    B = 200
+    oracle = {m: canonical_associate(x) for m, x in _least_by_norm(_ellipse_scan(order, B)).items()}
+    assert norm_table(order, -B, B) == oracle
+    for m in range(-3, B + 1):
+        if m == 0:
+            continue
+        assert norm_table(order, m, m) == ({m: oracle[m]} if m in oracle else {}), m
+        bmax = isqrt(4 * m // -order.discriminant) if m > 0 else -1
+        sols = elements_of_norm(order, m)
+        assert sols.exact and sols == sorted(_norm_solutions(order, m, bmax), key=_sol_key), m
 
 
 def test_short_bound_search_keeps_canonicalizing_scan():

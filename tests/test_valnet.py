@@ -2,6 +2,7 @@
 factorization outcomes, covers, and the eps-flagged ideal norms.
 """
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -530,6 +531,19 @@ def test_comaximal_generated():
     assert fam is not None
     assert sorted(str(d) for d in fam) == ["(M1:2)", "(M2:2)"]
     assert comaximal_family(M2, fnet(2, 2), 3) is None
+
+
+def test_comaximal_generated_without_family_answers_fast():
+    # 68,481 members below b; a search over k-subsets of every divisor ran
+    # for minutes before answering None
+    labels = finite_indices("L0:dense", "L1:dense", "L2")
+    m = generated_monoid(labels, [parse_net(labels, text) for text in (
+        "L0:3/2,L1:1/3,L2:2", "L1:1/2,L2:2", "L0:3/2,L1:1,L2:1", "L0:3/2,L1:3/2,L2:1")])
+    b = parse_net(labels, "L0:81/2,L1:203/6,L2:66")
+    start = time.perf_counter()
+    assert comaximal_family(m, b, 2) is None
+    assert comaximal_family(m, b, 3) is None
+    assert time.perf_counter() - start < 5
 
 
 def test_finite_cover_sequence():
