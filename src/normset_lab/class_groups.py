@@ -1,15 +1,18 @@
 """Binary quadratic forms and class groups of quadratic discriminants.
 
-Forms (a, b, c) of discriminant D = b^2 - 4ac realize the ideal class group:
-reduced positive definite forms for D < 0, reduction cycles of indefinite
-forms for D > 0. Composition is the classical united-forms congruence
-algorithm, applied uniformly (no squaring shortcut; the general path is
-valid for every pair of primitive forms with equal discriminant).
+Forms (a, b, c) of discriminant D = b^2 - 4ac realize the ideal class group.
+Composition is the classical united-forms congruence algorithm, applied
+uniformly (no squaring shortcut; the general path is valid for every pair
+of primitive forms with equal discriminant).
 
-For D > 0 the cycle partition gives the narrow class group; the wide group
-is its quotient by the class of the form with leading coefficient -1. Both
-are exposed since saturation arguments want the wide group while sign
-questions about norms want the narrow one.
+Every group is a partition of the primitive reduced forms of D, built by one
+builder (_group) and read through one form -> class map: a class is one
+reduced form for D < 0, and one rho-cycle of reduced indefinite forms in the
+narrow group of D > 0. The wide group of D > 0 is the narrow group modulo
+the class of the form with leading coefficient -1, so a wide class is the
+union of the cycles of one coset. Both are exposed since saturation
+arguments want the wide group while sign questions about norms want the
+narrow one.
 
 Also here: Minkowski bounds with outward rational rounding, prime splitting
 via the Kronecker symbol, and the class-index calculus (which classes carry
@@ -20,7 +23,7 @@ sieve (ideal_class_table).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -247,11 +250,12 @@ def reduced_indefinite_forms(D: int) -> list[BQForm]:
 
 @dataclass(frozen=True)
 class ClassGroupData:
-    """A class group realized on canonical form representatives.
+    """A class group as a partition of the reduced forms of its discriminant.
 
     classes[i] is the representative of class i; composition_table gives the
-    group operation on indices; cycles (indefinite only) hold every reduced
-    form of each class so membership lookups are a set probe.
+    group operation on indices. form_index maps every reduced form to the
+    index of its class, so index_of is a reduction and one lookup. It is left
+    out of eq, hash and repr: the other fields determine it.
     """
 
     discriminant: int
@@ -260,8 +264,8 @@ class ClassGroupData:
     composition_table: tuple[tuple[int, ...], ...]
     identity_index: int
     kind: str = "definite"  # definite | narrow | wide
-    cycles: tuple[frozenset, ...] = ()
     neg_principal_index: int | None = None
+    form_index: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def class_number(self) -> int:
@@ -285,16 +289,10 @@ class ClassGroupData:
     def index_of(self, f: BQForm) -> int:
         if f.discriminant() != self.discriminant:
             raise BadDiscriminant("form has the wrong discriminant")
-        g = reduce_form(f)
-        if self.kind == "definite":
-            for i, rep in enumerate(self.classes):
-                if rep == g:
-                    return i
-        else:
-            for i, cyc in enumerate(self.cycles):
-                if g in cyc:
-                    return i
-        raise ValueError(f"{f} does not reduce into any class of D={self.discriminant}")
+        i = self.form_index.get(reduce_form(f))
+        if i is None:
+            raise ValueError(f"{f} does not reduce into any class of D={self.discriminant}")
+        return i
 
     def is_principal(self, f: BQForm) -> bool:
         return self.index_of(f) == self.identity_index
@@ -303,103 +301,58 @@ class ClassGroupData:
         return f"Cl({self.discriminant}) = {self.structure} ({self.kind})"
 
 
-def _table_structure(table, identity_index) -> AbelianGroup:
-    n = len(table)
-    fs = invariant_factors_from_table(
-        list(range(n)), lambda i, j: table[i][j], identity_index
-    )
-    return AbelianGroup(fs)
+def _group(D: int, partition, kind: str, product) -> ClassGroupData:
+    """The group whose classes are the tuples of reduced forms in
+    `partition`, representative first; form_index lists the forms in that
+    order. Row i, column j of the table is the class of product(rep_i,
+    rep_j), which must be a reduced form of the partition. A narrow group
+    also records the class of the -1 form.
+    """
+    reps = tuple(cls[0] for cls in partition)
+    index = {f: i for i, cls in enumerate(partition) for f in cls}
+    table = tuple(tuple(index[product(f, g)] for g in reps) for f in reps)
+    one = principal_form(D)
+    ident = index[reduce_form(one)]
+    neg = index[reduce_form(BQForm(-1, one.b, -one.c))] if kind == "narrow" else None
+    fs = invariant_factors_from_table(range(len(reps)), lambda i, j: table[i][j], ident)
+    return ClassGroupData(D, reps, AbelianGroup(fs), table, ident, kind, neg, index)
 
 
 @lru_cache(maxsize=None)
 def class_group_imaginary(D: int) -> ClassGroupData:
-    forms = reduced_forms(D)
-    index = {f.tuple(): i for i, f in enumerate(forms)}
-    table = tuple(
-        tuple(index[compose(fi, fj).tuple()] for fj in forms) for fi in forms
-    )
-    ident = index[reduce_definite(principal_form(D)).tuple()]
-    return ClassGroupData(
-        discriminant=D,
-        classes=tuple(forms),
-        structure=_table_structure(table, ident),
-        composition_table=table,
-        identity_index=ident,
-    )
+    return _group(D, [(f,) for f in reduced_forms(D)], "definite", compose)
 
 
 @lru_cache(maxsize=None)
 def narrow_class_group_real(D: int) -> ClassGroupData:
-    forms = reduced_indefinite_forms(D)
-    cycles: list[tuple[BQForm, ...]] = []
-    seen: set[tuple] = set()
-    for f in forms:
-        if f.tuple() in seen:
-            continue
-        cyc = form_cycle(f)
-        seen.update(g.tuple() for g in cyc)
-        cycles.append(cyc)
-    reps = [min((g for g in cyc if g.a > 0), key=BQForm.tuple) for cyc in cycles]
-    cycle_sets = [frozenset(cyc) for cyc in cycles]
-
-    def locate(form: BQForm) -> int:
-        g = reduce_indefinite(form)
-        for i, cyc in enumerate(cycle_sets):
-            if g in cyc:
-                return i
-        raise AssertionError("reduced form escaped the cycle partition")
-
-    table = tuple(
-        tuple(locate(compose(ri, rj)) for rj in reps) for ri in reps
-    )
-    ident = locate(principal_form(D))
-    s = isqrt(D)
-    b0 = s if (s - D) % 2 == 0 else s - 1
-    neg = locate(BQForm(-1, b0, (D - b0 * b0) // 4))
-    return ClassGroupData(
-        discriminant=D,
-        classes=tuple(reps),
-        structure=_table_structure(table, ident),
-        composition_table=table,
-        identity_index=ident,
-        kind="narrow",
-        cycles=tuple(cycle_sets),
-        neg_principal_index=neg,
-    )
+    """The narrow class group: one class per rho-cycle of reduced forms,
+    represented by its least form with a > 0.
+    """
+    cycles, seen = [], set()
+    for f in reduced_indefinite_forms(D):
+        if f not in seen:
+            cyc = form_cycle(f)
+            seen.update(cyc)
+            rep = min((g for g in cyc if g.a > 0), key=BQForm.tuple)
+            cycles.append((rep, *(g for g in cyc if g != rep)))
+    return _group(D, cycles, "narrow", compose)
 
 
 @lru_cache(maxsize=None)
 def class_group_real(D: int) -> ClassGroupData:
     """The wide class group: narrow classes modulo the class of the leading
     coefficient -1 form. Equals the narrow group exactly when the fundamental
-    unit has norm -1.
+    unit has norm -1. A class is the forms of one coset of narrow classes,
+    taken by narrow index, so the coset's least narrow class comes first and
+    represents it; the table is read from the narrow one.
     """
     nar = narrow_class_group_real(D)
-    sub = {nar.identity_index, nar.neg_principal_index}
-    cosets: list[frozenset] = []
-    for i in range(nar.class_number):
-        cs = frozenset(nar.compose_indices(i, h) for h in sub)
-        if cs not in cosets:
-            cosets.append(cs)
-    cosets.sort(key=min)
-    where = {i: ci for ci, cs in enumerate(cosets) for i in cs}
-    table = tuple(
-        tuple(where[nar.compose_indices(min(ci), min(cj))] for cj in cosets)
-        for ci in cosets
-    )
-    ident = where[nar.identity_index]
-    merged = tuple(
-        frozenset().union(*(nar.cycles[i] for i in cs)) for cs in cosets
-    )
-    return ClassGroupData(
-        discriminant=D,
-        classes=tuple(nar.classes[min(cs)] for cs in cosets),
-        structure=_table_structure(table, ident),
-        composition_table=table,
-        identity_index=ident,
-        kind="wide",
-        cycles=merged,
-    )
+    at = nar.form_index
+    cosets: dict[int, list[BQForm]] = {}
+    for f, i in sorted(at.items(), key=lambda fi: fi[1]):
+        cosets.setdefault(min(i, nar.compose_indices(i, nar.neg_principal_index)), []).append(f)
+    return _group(D, list(cosets.values()), "wide",
+                  lambda f, g: nar.classes[nar.compose_indices(at[f], at[g])])
 
 
 def class_group(D: int) -> ClassGroupData:

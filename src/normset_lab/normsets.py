@@ -31,8 +31,8 @@ from typing import Any
 from .arith import divisors, factorize
 from .class_groups import (
     ClassGroupData,
+    class_group,
     class_group_imaginary,
-    class_group_real,
     ideal_class_options,
     ideal_class_table,
     minkowski_bound,
@@ -232,18 +232,19 @@ def _search(order: QuadraticOrder, m: int, bound: int | None,
             table: dict | None) -> tuple[list[QuadElem], int | None, int | None]:
     """The element search under the bound rule, as (solutions, bound used,
     exact bound). The exact bound is None on imaginary orders, whose search
-    is always exact. A real search with no bound runs at the exact bound,
-    refused with NeedsBound above the ceiling; a bound searches up to the
-    exact bound at most. A search at the exact bound returns the entry for m
-    of a norm table: the window's when it covers m, else norm_table(order,
-    m, m).
+    is always exact. A real search runs to |b| <= min(bound, exact bound),
+    to the exact bound when no bound is given, and is refused with
+    NeedsBound when that passes the ceiling. A search at the exact bound
+    returns the entry for m of a norm table: the window's when it covers m,
+    else norm_table(order, m, m).
     """
     exact_b = None if order.is_imaginary else exact_real_search_bound(order, m)
-    if bound is None and exact_b is not None and exact_b > _REAL_SEARCH_CEILING:
-        raise NeedsBound(
-            f"exact search for norm {m} in {order} needs |b| <= {exact_b}; "
-            f"pass an explicit bound")
     sb = exact_b if bound is None or exact_b is None else min(bound, exact_b)
+    if exact_b is not None and sb > _REAL_SEARCH_CEILING:
+        hint = ("pass an explicit bound" if bound is None
+                else f"pass a bound <= {_REAL_SEARCH_CEILING}")
+        raise NeedsBound(
+            f"exact search for norm {m} in {order} needs |b| <= {exact_b}; {hint}")
     if sb == exact_b:
         hit = (norm_table(order, m, m) if table is None else table).get(m)
         return ([] if hit is None else [hit]), sb, exact_b
@@ -484,9 +485,7 @@ def is_saturated(order: QuadraticOrder) -> bool:
     """
     if not order.is_maximal:
         raise ValueError("saturation criterion wants the maximal order")
-    D = order.discriminant
-    cg = class_group_imaginary(D) if D < 0 else class_group_real(D)
-    return cg.structure.exponent <= 2
+    return class_group(order.discriminant).structure.exponent <= 2
 
 
 def is_strictly_saturated_window(order: QuadraticOrder, B: int) -> Verdict:

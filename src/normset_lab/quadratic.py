@@ -265,32 +265,27 @@ def _cf_unit(d: int, P: int, Q: int) -> tuple[int, int]:
             return Q0 * A - P0 * B, B
 
 
-@lru_cache(maxsize=None)
 def fundamental_unit(d: int) -> tuple[QuadElem, int]:
     """Smallest unit > 1 of the maximal order of Q(sqrt(d)), d > 1 squarefree,
-    with its norm sign. It comes from the continued fraction of
-    w = (p + sqrt(D))/2, whose period yields the least t^2 - D*u^2 = +-4;
-    the unit is (t + u*sqrt(D))/2 = (t - p*u)/2 + u*w.
+    with its norm sign.
     """
     if d <= 1:
         raise BadDiscriminant("fundamental units live in real fields")
-    order = order_of(d, 1)
-    t, u = _cf_unit(order.discriminant, order.p, 2)
-    eps = order.element((t - order.p * u) // 2, u)
-    return eps, eps.norm()
+    return order_fundamental_unit(order_of(d, 1))
 
 
 @lru_cache(maxsize=None)
 def order_fundamental_unit(order: QuadraticOrder) -> tuple[QuadElem, int]:
-    """Smallest unit > 1 lying in the (possibly non-maximal) order: the least
-    power of the field's fundamental unit with conductor-divisible xi part.
+    """Smallest unit > 1 of a real order, with its norm sign. It comes from
+    the continued fraction of the order's own w = (p + sqrt(D))/2, whose
+    period yields the least t^2 - D*u^2 = +-4; the unit is
+    (t + u*sqrt(D))/2 = (t - p*u)/2 + u*w.
     """
-    eps, sign = fundamental_unit(order.d)
-    maximal = eps.order
-    acc, acc_sign = eps, sign
-    while acc.b % order.n:
-        acc, acc_sign = acc * eps, acc_sign * sign
-    return QuadElem(order, acc.a, acc.b // order.n), acc_sign
+    if order.is_imaginary:
+        raise BadDiscriminant("fundamental units live in real fields")
+    t, u = _cf_unit(order.discriminant, order.p, 2)
+    eps = order.element((t - order.p * u) // 2, u)
+    return eps, eps.norm()
 
 
 @lru_cache(maxsize=None)

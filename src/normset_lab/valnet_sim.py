@@ -523,7 +523,9 @@ def find_atomic_factorization(m: NetMonoid, b: ValNet,
     """One factorization of b into atoms, three-valued; `depth` is accepted
     and ignored.
 
-    Generated monoids: found, or proven_none. Sequence domain: zero tail
+    Generated monoids: found, or proven_none. The factorization found is
+    net_factorizations(m, b)[0], the key-least one, searched directly
+    instead of listing them all. Sequence domain: zero tail
     means b is literally a finite sum of e_i (found); a positive tail never
     resolves within finite depth, so the honest answer is none_within_depth,
     not a proof of absence.
@@ -539,10 +541,25 @@ def find_atomic_factorization(m: NetMonoid, b: ValNet,
                 atoms.extend([e_net(m.index_set, i)] * v)
             return SearchOutcome("found", FactorMultiset(tuple(atoms)))
         return SearchOutcome("none_within_depth")
-    facts = net_factorizations(m, b)
-    if facts:
-        return SearchOutcome("found", facts[0])
-    return SearchOutcome("proven_none")
+    if b.index_set != m.index_set:
+        return SearchOutcome("proven_none")
+    t = _Table(m, b)
+    x = t.vec(b)
+    if x not in t.members:
+        return SearchOutcome("proven_none")
+    # the irreducible atoms below b in key order; a declared atom that is a
+    # sum of others has a proper divisor and is left out
+    atoms = sorted({g for g in map(t.vec, m.atoms) if t.divisors(g) == [g]}, key=t.key)
+    # Take the key-least atom g with x - g a member, and go on from x - g.
+    # Each atom g' of x - g has x - g' a member, so g' comes no earlier than
+    # g: the atoms taken ascend, and each is the least any factorization of
+    # what is left can start with. That is net_factorizations(m, b)[0].
+    out = []
+    while any(x):
+        g = next(g for g in atoms if tuple(map(sub, x, g)) in t.members)
+        out.append(g)
+        x = tuple(map(sub, x, g))
+    return SearchOutcome("found", FactorMultiset(tuple(map(t.net, out))))
 
 
 def accp_chain(m: NetMonoid, b: ValNet, k: int) -> list[ValNet] | None:

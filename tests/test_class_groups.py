@@ -33,6 +33,7 @@ from normset_lab import (
     reduced_indefinite_forms,
     splitting_type,
 )
+from normset_lab.arith import is_squarefree
 from normset_lab.class_groups import (
     ideal_class_table,
     is_reduced_definite,
@@ -41,6 +42,7 @@ from normset_lab.class_groups import (
     reduce_indefinite,
     rho_step,
 )
+from normset_lab.monoid_core import invariant_factors_from_table
 
 # standard table of class numbers h(D) for fundamental D < 0
 H_TABLE = {
@@ -324,6 +326,115 @@ def test_dispatch_and_module_level_principal():
     assert class_group(136).is_principal(BQForm(2, 12, 1)) == (
         wide.index_of(BQForm(2, 12, 1)) == wide.identity_index
     )
+
+
+# ---------------------------------------------------------------------------
+# the three builders that each worked out their own classes, kept as oracles
+# for the one partition builder
+
+
+def _oracle_structure(table, ident):
+    return AbelianGroup(invariant_factors_from_table(
+        list(range(len(table))), lambda i, j: table[i][j], ident))
+
+
+def _oracle_imaginary(D):
+    forms = reduced_forms(D)
+    index = {f.tuple(): i for i, f in enumerate(forms)}
+    table = tuple(
+        tuple(index[compose(fi, fj).tuple()] for fj in forms) for fi in forms
+    )
+    ident = index[reduce_definite(principal_form(D)).tuple()]
+    return {"classes": tuple(forms), "table": table, "identity": ident,
+            "neg": None, "kind": "definite", "cycles": [{f} for f in forms]}
+
+
+def _oracle_narrow(D):
+    forms = reduced_indefinite_forms(D)
+    cycles, seen = [], set()
+    for f in forms:
+        if f.tuple() in seen:
+            continue
+        cyc = form_cycle(f)
+        seen.update(g.tuple() for g in cyc)
+        cycles.append(cyc)
+    reps = [min((g for g in cyc if g.a > 0), key=BQForm.tuple) for cyc in cycles]
+    cycle_sets = [frozenset(cyc) for cyc in cycles]
+
+    def locate(form):
+        g = reduce_indefinite(form)
+        for i, cyc in enumerate(cycle_sets):
+            if g in cyc:
+                return i
+        raise AssertionError("reduced form escaped the cycle partition")
+
+    table = tuple(tuple(locate(compose(ri, rj)) for rj in reps) for ri in reps)
+    s = isqrt(D)
+    b0 = s if (s - D) % 2 == 0 else s - 1
+    return {"classes": tuple(reps), "table": table,
+            "identity": locate(principal_form(D)),
+            "neg": locate(BQForm(-1, b0, (D - b0 * b0) // 4)), "kind": "narrow",
+            "cycles": cycle_sets}
+
+
+def _oracle_wide(D):
+    nar = _oracle_narrow(D)
+    sub = {nar["identity"], nar["neg"]}
+    cosets = []
+    for i in range(len(nar["classes"])):
+        cs = frozenset(nar["table"][i][h] for h in sub)
+        if cs not in cosets:
+            cosets.append(cs)
+    cosets.sort(key=min)
+    where = {i: ci for ci, cs in enumerate(cosets) for i in cs}
+    table = tuple(
+        tuple(where[nar["table"][min(ci)][min(cj)]] for cj in cosets)
+        for ci in cosets
+    )
+    return {"classes": tuple(nar["classes"][min(cs)] for cs in cosets),
+            "table": table, "identity": where[nar["identity"]], "neg": None,
+            "kind": "wide",
+            "cycles": [frozenset().union(*(nar["cycles"][i] for i in cs))
+                       for cs in cosets]}
+
+
+# order discriminants n^2 * D_K of squarefree |d| < 60, n <= 3
+ORACLE_DISCRIMINANTS = sorted({n * n * order_of(d).field.field_discriminant
+                               for d in range(-59, 60)
+                               if d not in (0, 1) and is_squarefree(d)
+                               for n in (1, 2, 3)})
+
+
+@pytest.mark.parametrize("D", ORACLE_DISCRIMINANTS)
+def test_partition_builder_matches_the_three_builders(D):
+    pairs = ([(class_group_imaginary(D), _oracle_imaginary(D))] if D < 0 else
+             [(narrow_class_group_real(D), _oracle_narrow(D)),
+              (class_group_real(D), _oracle_wide(D))])
+    for cg, rec in pairs:
+        assert cg.classes == rec["classes"]
+        assert cg.composition_table == rec["table"]
+        assert cg.identity_index == rec["identity"]
+        assert cg.neg_principal_index == rec["neg"]
+        assert cg.kind == rec["kind"]
+        assert cg.structure == _oracle_structure(rec["table"], rec["identity"])
+        # every reduced form lies in the class of the oracle's partition
+        assert sum(map(len, rec["cycles"])) == len(cg.form_index)
+        for i, cyc in enumerate(rec["cycles"]):
+            for f in cyc:
+                assert cg.index_of(f) == i
+    assert class_group(D) == pairs[-1][0]
+
+
+def test_group_data_stays_hashable_without_its_form_map():
+    cg = narrow_class_group_real(160)
+    assert hash(cg) == hash(narrow_class_group_real.__wrapped__(160))
+    assert cg == narrow_class_group_real.__wrapped__(160)
+    assert "form_index" not in repr(cg)
+    # (2,12,-2) has discriminant 160 but is not primitive: it has no class
+    with pytest.raises(ValueError, match="does not reduce into any class"):
+        cg.index_of(BQForm(2, 12, -2))
+    with pytest.raises(BadDiscriminant):
+        cg.index_of(BQForm(1, 0, -5))
 
 
 # ---------------------------------------------------------------------------

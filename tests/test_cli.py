@@ -207,6 +207,22 @@ def test_davenport_cap_outside_olson(capsys):
     assert rec["reason"] == "CapExceeded"
 
 
+def test_member_bound_above_the_search_ceiling(capsys):
+    start = time.perf_counter()
+    # 40 is no norm of Z[(1+sqrt 97)/2]: the ideal backend says so unsearched
+    code, rec, _ = run_json(capsys, "normset", "member", "--d", "97",
+                            "--value", "40", "--bound", "1000000000")
+    assert code == 0 and rec["answer"] == "no"
+    # 2 is a norm, and its witness search would run to |b| <= 18,176,283:
+    # a --bound above the ceiling is refused instead of scanning that far
+    code, rec, _ = run_json(capsys, "normset", "member", "--d", "97",
+                            "--value", "2", "--bound", "1000000000")
+    assert code == 2
+    assert rec["reason"] == "NeedsBound" and rec["bound_used"] == 10**9
+    assert "18176283" in rec["detail"]
+    assert time.perf_counter() - start < 2
+
+
 # ---------------------------------------------------------------------------
 # exit codes and configuration
 
@@ -383,6 +399,11 @@ GOLDEN_CLI = Path(__file__).resolve().parent / "golden" / "cli"
 GOLDEN_COMMANDS = {
     "classgroup_-41": "classgroup --d -41",
     "classgroup_34": "classgroup --d 34",
+    "classgroup_79": "classgroup --d 79",
+    "classgroup_10_2": "classgroup --d 10 --n 2",
+    "classgroup_5_3": "classgroup --d 5 --n 3",
+    "classgroup_-5_3": "classgroup --d -5 --n 3",
+    "classgroup_-65": "classgroup --d -65",
     "member_-10": "normset member --d -10 --value 15",
     "member_-5": "normset member --d -5 --value 6",
     "member_-41": "normset member --d -41 --value 2025",

@@ -12,6 +12,8 @@ from normset_lab.monoid_core import (AbelianGroup, FactorMultiset, FactorSession
                                      invariant_factors_from_table,
                                      is_hfm_window, is_length_factorial_window,
                                      is_ufm_window, numerical_monoid_view)
+from normset_lab.quadratic import element_monoid_view, order_of
+from normset_lab.valnet_sim import _Table, finite_indices, generated_monoid, parse_net
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +259,47 @@ def test_numerical_monoid_rejects_bad_generators():
         numerical_monoid_view(0, 2)
     with pytest.raises(ValueError):
         numerical_monoid_view()
+
+
+# ---------------------------------------------------------------------------
+# every view's divide against its proper_divisors
+
+
+def _check_divide(view, elements, is_unit):
+    """d | x iff d = x, with a unit cofactor, or (d, c) is listed among the
+    proper divisors of x, with divide(d, x) = c."""
+    for x in elements:
+        listed = dict(view.proper_divisors(x))
+        for d, c in listed.items():
+            assert view.divide(d, x) == c, (d, x)
+        for d in elements:
+            c = view.divide(d, x)
+            if d == x:
+                assert is_unit(c), x
+            else:
+                assert c == listed.get(d), (d, x)
+
+
+@pytest.mark.parametrize("gens", [(2, 3), (3, 5, 7), (4, 6, 9)])
+def test_numerical_view_divide(gens):
+    view = numerical_monoid_view(*gens)
+    _check_divide(view, view.elements_up_to(40), lambda c: c == 0)
+
+
+@pytest.mark.parametrize("d,n", [(-1, 1), (-3, 1), (-5, 1), (-14, 1), (-3, 2)])
+def test_element_view_divide(d, n):
+    view = element_monoid_view(order_of(d, n))
+    _check_divide(view, list(view.elements_up_to(30)), lambda c: c.is_unit())
+
+
+def test_net_table_view_divide():
+    labels = finite_indices("P", "Q:dense")
+    m = generated_monoid(labels, [parse_net(labels, text) for text in (
+        "P:2", "Q:1/2", "P:1,Q:1", "P:3,Q:3/2")])
+    t = _Table(m, parse_net(labels, "P:6,Q:4"))
+    members = sorted(v for v in t.members if any(v))
+    assert len(members) > 30
+    _check_divide(t.view(), members, lambda c: not any(c))
 
 
 @settings(max_examples=60)

@@ -28,7 +28,7 @@ from normset_lab import (
 )
 import normset_lab.normsets as normsets
 from normset_lab.arith import divisors, is_squarefree
-from normset_lab.normsets import Verdict
+from normset_lab.normsets import _REAL_SEARCH_CEILING, Verdict
 from normset_lab.quadratic import exact_real_search_bound, order_fundamental_unit
 
 
@@ -129,6 +129,21 @@ def test_huge_norm_needs_explicit_bound():
     ns = NormsetHandle(order, policy="form_search")
     with pytest.raises(NeedsBound):
         ns.contains(m)
+    # an explicit bound above the ceiling follows the same rule: the exact
+    # search for 40 in Z[(1+sqrt 97)/2] needs |b| <= 81,286,805
+    start = time.perf_counter()
+    order = order_of(97)
+    assert exact_real_search_bound(order, 40) == 81286805
+    for bound in (10**9, _REAL_SEARCH_CEILING + 1):
+        with pytest.raises(NeedsBound, match="81286805"):
+            normset_of(order, "form_search").contains(40, bound)
+    # the ideal backend needs no search to refute 40 (5 is inert), but the
+    # witness of the norm 2 would take an exact search to |b| <= 18,176,283
+    assert normset_of(order, "ideal_theoretic").contains(40, 10**9).answer == "no"
+    with pytest.raises(NeedsBound, match="18176283"):
+        normset_of(order, "ideal_theoretic").contains(2, 10**9)
+    assert normset_of(order).contains(40, _REAL_SEARCH_CEILING).answer == "no"
+    assert time.perf_counter() - start < 1
 
 
 def test_ideal_witness_follows_the_bound_rule():

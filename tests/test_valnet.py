@@ -358,6 +358,38 @@ def test_find_atomic_generated():
     assert reduce(net_add, deep.value.atoms) == fnet(8, 8)
 
 
+def test_find_atomic_skips_a_reducible_declared_atom():
+    # M3 declares (1,1) = (1,0) + (0,1): it is no atom
+    for b in (fnet(1, 1), fnet(3, 2), fnet(0, 4)):
+        out = find_atomic_factorization(M3, b)
+        assert out.status == "found" and out.value == net_factorizations(M3, b)[0]
+        assert fnet(1, 1) not in out.value.atoms
+    # here the reducible (P:1,Q:1,R:1) = (P:1,R:1) + (Q:1) sorts before both
+    triple = finite_indices("P", "Q", "R")
+    m = generated_monoid(triple, [parse_net(triple, text) for text in (
+        "P:1,R:1", "Q:1", "P:1,Q:1,R:1")])
+    assert _net_key(m.atoms[2]) < min(_net_key(m.atoms[0]), _net_key(m.atoms[1]))
+    for text in ("P:1,Q:1,R:1", "P:2,Q:3,R:2"):
+        b = parse_net(triple, text)
+        out = find_atomic_factorization(m, b)
+        assert out.status == "found" and out.value == net_factorizations(m, b)[0]
+        assert m.atoms[2] not in out.value.atoms
+
+
+def test_find_atomic_generated_answers_fast():
+    # 15,822 members below b; listing every factorization to keep the first
+    # ran for more than 30 s
+    labels = finite_indices("L0:dense", "L1:dense", "L2")
+    m = generated_monoid(labels, [parse_net(labels, text) for text in (
+        "L1:3/2,L2:2", "L0:2,L2:1", "L1:1,L2:1", "L0:1,L1:3/2,L2:2")])
+    b = parse_net(labels, "L0:41,L1:33,L2:58")
+    start = time.perf_counter()
+    out = find_atomic_factorization(m, b)
+    assert time.perf_counter() - start < 5
+    assert out.status == "found" and reduce(net_add, out.value.atoms) == b
+    assert [_net_key(a) for a in out.value.atoms] == sorted(map(_net_key, out.value.atoms))
+
+
 def test_accp_chain_sequence():
     chain = accp_chain(SEQ, W1, 10)
     assert chain == [omega_net(OMEGA, k) for k in range(1, 11)]
@@ -716,6 +748,16 @@ def test_generated_over_omega_sees_every_index():
                                                         make_net(OMEGA, {1: 2})]
     assert monoid_divisors(m, make_net(OMEGA, {1: 2, 5: 1})) == []
     assert net_factorizations(m, e_net(OMEGA, 5)) == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(small_generated(), small_omega_generated()))
+@example(case=(M3, fnet(3, 3), 8))
+def test_find_atomic_is_the_first_factorization(case):
+    m, b, depth = case
+    facts = net_factorizations(m, b)
+    out = find_atomic_factorization(m, b, depth)
+    assert (out.status, out.value) == (("found", facts[0]) if facts else ("proven_none", None))
 
 
 def _idempotent_oracle(m):
