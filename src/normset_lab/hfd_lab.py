@@ -10,7 +10,9 @@ a direct witness construction settles every case except (d, n) = (-3, 2),
 the one non-maximal half-factorial order; that case is certified by an
 exhaustive window check plus the unit-orbit argument recorded in the
 verdict's method field, and the verdict is whatever that one window says.
-Window scans stream elements by size and stop at the first witness.
+Window scans stream elements by size and stop at the first witness. Every
+search runs on the integer element kernel (quadratic._element_kernel) over
+(a, b) pairs; only the witnesses returned become QuadElem.
 
 classification_check() replays the whole table: the nine unit-class
 discriminants, the eighteen class-number-two discriminants, the (d, n) =
@@ -28,13 +30,8 @@ from .arith import is_squarefree
 from .class_groups import class_group, class_number
 from .errors import BadDiscriminant, WitnessSearchExhausted
 from .monoid_core import FactorSession, WindowVerdict, davenport, is_hfm_window
-from .quadratic import (
-    QuadraticOrder,
-    canonical_associate,
-    element_monoid_view,
-    factor_element,
-    order_of,
-)
+from .quadratic import (QuadElem, QuadraticOrder, _as_elements, _element_kernel,
+                        factor_element, order_of)
 
 # all known witnesses sit at window size <= ~100; the default leaves margin
 HFD_WITNESS_BOUND = 10_000
@@ -106,7 +103,12 @@ def bounded_hfd_check(order: QuadraticOrder, B: int) -> WindowVerdict:
     """Exhaustive equal-lengths check over the element window of size B."""
     if not order.is_imaginary:
         raise ValueError("the element window is imaginary-only")
-    return is_hfm_window(element_monoid_view(order), B)
+    chk = is_hfm_window(_element_kernel(order), B)
+    if chk.holds:
+        return chk
+    x, short, long_ = chk.witness
+    return WindowVerdict(False, B, (QuadElem(order, *x), _as_elements(order, short),
+                                    _as_elements(order, long_)))
 
 
 def order_hfd_witness(d: int, n: int) -> HfdVerdict:
@@ -138,11 +140,12 @@ def order_hfd_witness(d: int, n: int) -> HfdVerdict:
         return HfdVerdict(order, "not_hfd", (short, long_), x, "direct_window")
 
     w = order.element(n, 1) if d == -1 else order.element(0, 1)
-    # one session: factoring N(w) reuses the divisor norms the atom test solved
-    session = FactorSession(element_monoid_view(order))
-    if not session.is_atom(canonical_associate(w)):
+    # one session: factoring N(w) reuses the divisor norms the atom test
+    # solved; w and the positive integer N(w) are canonical as they stand
+    session = FactorSession(_element_kernel(order))
+    if not session.is_atom((w.a, w.b)):
         raise WitnessSearchExhausted(f"{w} unexpectedly splits in {order}")
-    elem = canonical_associate(order.element(w.norm(), 0))
+    elem = order.element(w.norm(), 0)
     facts = factor_element(order, elem, session)
     short = min(facts, key=len)
     long_ = max(facts, key=len)

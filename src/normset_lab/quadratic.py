@@ -17,10 +17,8 @@ the pair (t, b) carries the element's exact sign and size: a norm search
 walks t^2 = 4m + D*b^2, and emb(x) >= |conj(x)| iff t >= 0 and b >= 0.
 
 Everything is exact integer arithmetic; there is not a float in sight.
-Element factorization enumerates divisors through elements_of_norm and is
-offered for imaginary orders only, where the unit group is finite. Real
-orders get elements_of_norm with unit reduction, and fundamental units via
-the continued fraction of w. Every norm search and table runs one scan,
+Real orders get elements_of_norm with unit reduction, and fundamental units
+via the continued fraction of w. Every norm search and table runs one scan,
 _norm_scan, over the roots t >= 0 of t^2 = 4N + D*b^2 for N in a range and
 b in a range; the solutions with t < 0 are the negatives. norm_table(order,
 lo, hi) keeps, for every norm of the range, the solution a single exact
@@ -28,11 +26,17 @@ search for that norm returns: on a real order it walks only the integer
 fundamental domain of canonical_associate, testing signs instead of sliding
 by units. A normset window reads it beside the ideal backend's class sieve
 (class_groups.ideal_class_table).
+
+Element factorization, for imaginary orders only, runs on an integer kernel
+(_element_kernel) over canonical (a, b) int pairs, with the integer helpers
+that divide_exact, canonical_associate and elements_of_norm also read.
+QuadElem appears only at its boundary: element_monoid_view, factor_element
+and is_irreducible take and give QuadElem, which unpacks to its pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import isqrt
 
@@ -182,6 +186,10 @@ class QuadElem:
         # the order is closed under conjugation, so conj(x) / N(x) is integral
         return self.norm() in (1, -1)
 
+    def __iter__(self):
+        # unpacks to the integer pair the element kernel runs on
+        return iter((self.a, self.b))
+
     def __str__(self):
         return f"{self.a}{self.b:+d}*w"
 
@@ -211,15 +219,27 @@ def parse_element(order: QuadraticOrder, text: str) -> QuadElem:
     return QuadElem(order, a, b)
 
 
+def _product(p: int, q: int, a: int, b: int, c: int, e: int) -> tuple[int, int]:
+    """(a + b*w)(c + e*w) as a pair, for w^2 = p*w + q."""
+    be = b * e
+    return a * c + q * be, a * e + b * c + p * be
+
+
+def _quotient(p: int, q: int, a: int, b: int, c: int, e: int) -> tuple[int, int] | None:
+    """(a + b*w) / (c + e*w) as a pair, or None outside the order."""
+    nm, f, be = c * c + p * c * e - q * e * e, c + p * e, -b * e
+    s, t = a * f + q * be, b * f - a * e + p * be
+    return None if s % nm or t % nm else (s // nm, t // nm)
+
+
 def divide_exact(x: QuadElem, y: QuadElem) -> QuadElem | None:
     """x / y in the order, or None when y does not divide x there."""
     if y.is_zero():
         raise ZeroDivisionError("division by zero element")
-    nm = y.norm()
-    num = x * y.conj()
-    if num.a % nm or num.b % nm:
-        return None
-    return QuadElem(x.order, num.a // nm, num.b // nm)
+    if x.order != y.order:
+        raise ValueError("elements of different orders")
+    r = _quotient(x.order.p, x.order.q, x.a, x.b, y.a, y.b)
+    return None if r is None else QuadElem(x.order, *r)
 
 
 @lru_cache(maxsize=None)
@@ -227,16 +247,9 @@ def units(order: QuadraticOrder) -> tuple[QuadElem, ...]:
     """The unit group; finite hence enumerable only for imaginary orders."""
     if not order.is_imaginary:
         raise ValueError("real quadratic orders have infinite unit group")
-    one = order.one()
-    out = [one, -one]
-    if order.n == 1 and order.d == -1:
-        out += [order.element(0, 1), order.element(0, -1)]
-    elif order.n == 1 and order.d == -3:
-        out += [
-            order.element(0, 1), order.element(0, -1),
-            order.element(-1, 1), order.element(1, -1),
-        ]
-    return tuple(out)
+    roots = {-1: [(0, 1), (0, -1)], -3: [(0, 1), (0, -1), (-1, 1), (1, -1)]}
+    extra = roots.get(order.d, []) if order.n == 1 else []
+    return tuple(QuadElem(order, a, b) for a, b in [(1, 0), (-1, 0)] + extra)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +328,7 @@ def _emb_at_least_conj(x: QuadElem) -> bool:
 def canonical_associate(x: QuadElem, same_norm: bool = False) -> QuadElem:
     """Deterministic representative of the associate class of x.
 
-    Imaginary orders: the minimum of the finite unit orbit under the key
-    (|a|, |b|, a<0, b<0), which lands on the all-nonnegative associate when
-    one exists (e.g. 1+i rather than 1-i in Z[i]).
+    Imaginary orders: the least of the finite unit orbit (_unit_canon).
 
     Real orders: the unique associate with positive embedding in
     [sqrt(|N|), sqrt(|N|)*u), sliding by u = the fundamental unit, or by the
@@ -330,12 +341,7 @@ def canonical_associate(x: QuadElem, same_norm: bool = False) -> QuadElem:
         return x
     order = x.order
     if order.is_imaginary:
-        # nonnegative coordinates first, then integer-like (small |b|) shapes,
-        # so rational integers canonicalize to themselves
-        return min(
-            (u * x for u in units(order)),
-            key=lambda y: (y.b < 0, y.a < 0, abs(y.b), abs(y.a)),
-        )
+        return QuadElem(order, *_unit_canon(order)(x.a, x.b))
     u, sign = (norm_plus_unit(order), 1) if same_norm else order_fundamental_unit(order)
     u_inv = u.conj() if sign == 1 else -u.conj()  # u^-1 = N(u) * conj(u)
     if _emb_negative(x):
@@ -384,8 +390,9 @@ def exact_real_search_bound(order: QuadraticOrder, m: int) -> int:
     return isqrt(num // den + 1) + 2
 
 
-def _sol_key(x: QuadElem) -> tuple:
-    return (abs(x.a), abs(x.b), x.a < 0, x.b < 0)
+def _sol_key(x) -> tuple:
+    a, b = x
+    return (abs(a), abs(b), a < 0, b < 0)
 
 
 def _norm_scan(order: QuadraticOrder, lo: int, hi: int, bs):
@@ -476,15 +483,9 @@ def elements_of_norm(order: QuadraticOrder, m: int, search_bound: int | None = N
     """
     if m == 0:
         raise ValueError("norm 0 only for the zero element")
-    p = order.p
     if order.is_imaginary:
-        sols = []
-        for _, t, b in _norm_scan(order, m, m, _imag_bs(order, m)):
-            a = (t - p * b) // 2
-            sols.append(QuadElem(order, a, b))
-            if t:
-                sols.append(QuadElem(order, -a, -b))
-        return NormSolutions(sorted(sols, key=_sol_key), exact=True)
+        return NormSolutions([QuadElem(order, a, b) for a, b in _solutions(order, m)])
+    p = order.p
     if search_bound is None:
         raise NeedsBound(f"norm search in real order {order} needs a b-coordinate bound")
     exact_b = exact_real_search_bound(order, m)
@@ -498,83 +499,126 @@ def elements_of_norm(order: QuadraticOrder, m: int, search_bound: int | None = N
 
 
 # ---------------------------------------------------------------------------
-# irreducibility and exhaustive factorization (imaginary orders)
+# the integer element kernel and exhaustive factorization (imaginary orders)
 
 
-def is_irreducible(x: QuadElem) -> bool:
-    """Exact irreducibility test for nonzero nonunits of imaginary orders:
-    x is irreducible when the element view of its order (element_monoid_view)
-    lists no proper divisor of it. Real orders raise ValueError there.
+@lru_cache(maxsize=None)
+def _unit_canon(order: QuadraticOrder):
+    """(a, b) -> the least pair of its unit orbit in an imaginary order under
+    (b<0, a<0, |b|, |a|): 1+i rather than 1-i in Z[i], and a rational
+    integer is its own. With units +-1 only, that is a sign test.
     """
-    if x.is_zero() or x.is_unit():
-        raise ValueError("irreducibility is about nonzero nonunits")
-    return next(iter(element_monoid_view(x.order).proper_divisors(x)), None) is None
+    orbit = [(u.a, u.b) for u in units(order)]
+    if len(orbit) == 2:
+        return lambda a, b: (a, b) if b > 0 or (b == 0 and a > 0) else (-a, -b)
+    p, q = order.p, order.q
+    return lambda a, b: min((_product(p, q, c, e, a, b) for c, e in orbit),
+                            key=lambda y: (y[1] < 0, y[0] < 0, abs(y[1]), abs(y[0])))
 
 
-def _canonical_key(x: QuadElem) -> tuple:
-    return (abs(x.norm()), x.b < 0, x.a < 0, abs(x.b), abs(x.a))
+def _solutions(order: QuadraticOrder, m: int) -> list[tuple[int, int]]:
+    """Every (a, b) of norm m in an imaginary order, sorted by _sol_key."""
+    p, sols = order.p, []
+    for _, t, b in _norm_scan(order, m, m, _imag_bs(order, m)):
+        a = (t - p * b) // 2
+        sols.append((a, b))
+        if t:
+            sols.append((-a, -b))
+    return sorted(sols, key=_sol_key)
 
 
-def element_monoid_view(order: QuadraticOrder) -> MonoidView:
-    """MonoidView over canonical nonzero nonunits of an imaginary order.
-
-    The window `elements_up_to(B)` streams, one window size s = 2, 3, ... at
-    a time, every canonical element with 2 <= |N(x)| <= B and every rational
-    integer 2 <= |m| <= B. The integers carry the structural collisions (an
-    integer can split into conjugate non-rational factors whose norms are far
-    below its own norm m^2), so windows that skipped them would miss the
-    earliest witnesses. The view solves each norm once and keeps its canonical
-    elements for both divisor enumeration and the window.
+def _element_kernel(order: QuadraticOrder) -> MonoidView:
+    """The element view of an imaginary order on canonical (a, b) int pairs,
+    with p and q held by its closures and the arithmetic of _product,
+    _quotient and _unit_canon. Each norm is solved once (_solutions), for
+    divisors and window alike; the key is (N, b<0, a<0, |b|, |a|). The
+    window `elements_up_to(B)` streams each size s = 2, 3, ... in turn: the
+    canonical elements of norm s, then the integer s (key N = s^2), which
+    can split into conjugate factors of norm far below s^2, so a window
+    without the integers would miss the earliest witnesses.
     """
     if not order.is_imaginary:
         raise ValueError("element factorization is imaginary-only")
-    by_norm: dict[int, list[QuadElem]] = {}
+    p, q = order.p, order.q
+    canon = _unit_canon(order)
+    by_norm: dict[int, list[tuple[int, int]]] = {}
 
     def of_norm(k):
         hit = by_norm.get(k)
         if hit is None:
-            hit = by_norm[k] = list(dict.fromkeys(
-                map(canonical_associate, elements_of_norm(order, k))))
+            hit = by_norm[k] = list(dict.fromkeys(canon(a, b) for a, b in _solutions(order, k)))
         return hit
 
+    def key(x):
+        a, b = x
+        return (a * a + p * a * b - q * b * b, b < 0, a < 0, abs(b), abs(a))
+
     def proper_divisors(x):
-        nm = x.norm()
+        # a divisor of norm k <= N(x)/2 leaves a cofactor of norm >= 2
+        a, b = x
+        nm = a * a + p * a * b - q * b * b
         for k in divisors(nm):
-            if k < 2 or k > nm // 2:
-                continue
-            for cy in of_norm(k):
-                q = divide_exact(x, cy)
-                if q is not None and not q.is_unit():
-                    yield cy, canonical_associate(q)
+            if 2 <= k <= nm // 2:
+                for c, e in of_norm(k):
+                    r = _quotient(p, q, a, b, c, e)
+                    if r is not None:
+                        yield (c, e), canon(*r)
 
     def divide(dv, x):
-        q = divide_exact(x, dv)
-        return None if q is None else canonical_associate(q)
+        r = _quotient(p, q, *x, *dv)
+        return None if r is None else canon(*r)
 
     def elements_up_to(bound):
-        # window size s: the non-rational elements of norm s, then the
-        # integer s, whose key leads with N(s) = s^2 > s; s is its own
-        # canonical associate
         for s in range(2, bound + 1):
-            yield from sorted((x for x in of_norm(s) if x.b), key=_canonical_key)
-            yield order.element(s, 0)
+            yield from sorted((x for x in of_norm(s) if x[1]), key=key)
+            yield s, 0
 
-    return MonoidView(
-        name=f"elements of {order}",
-        op=lambda a, b: canonical_associate(a * b),
-        divide=divide,
-        proper_divisors=proper_divisors,
-        key=_canonical_key,
-        elements_up_to=elements_up_to,
+    return MonoidView(f"elements of {order}", lambda x, y: canon(*_product(p, q, *x, *y)),
+                      divide, proper_divisors, key, elements_up_to)
+
+
+def _as_elements(order: QuadraticOrder, f: FactorMultiset) -> FactorMultiset:
+    return FactorMultiset(tuple(QuadElem(order, a, b) for a, b in f))
+
+
+def is_irreducible(x: QuadElem) -> bool:
+    """Exact for nonzero nonunits of imaginary orders: x is irreducible when
+    the element kernel lists no proper divisor of it. Real orders raise
+    ValueError.
+    """
+    if x.is_zero() or x.is_unit():
+        raise ValueError("irreducibility is about nonzero nonunits")
+    return next(iter(_element_kernel(x.order).proper_divisors((x.a, x.b))), None) is None
+
+
+def element_monoid_view(order: QuadraticOrder) -> MonoidView:
+    """MonoidView over canonical nonzero nonunits of an imaginary order: the
+    integer kernel (_element_kernel), whose answers become QuadElem here; it
+    reads QuadElem arguments as they stand, since they unpack to pairs.
+    """
+    kernel = _element_kernel(order)
+
+    def elem(x):
+        return None if x is None else QuadElem(order, *x)
+
+    return replace(
+        kernel,
+        op=lambda x, y: elem(kernel.op(x, y)),
+        divide=lambda dv, x: elem(kernel.divide(dv, x)),
+        proper_divisors=lambda x: ((elem(d), elem(c)) for d, c in kernel.proper_divisors(x)),
+        elements_up_to=lambda bound: map(elem, kernel.elements_up_to(bound)),
     )
 
 
 def factor_element(order: QuadraticOrder, x: QuadElem, session: FactorSession | None = None) -> tuple[FactorMultiset, ...]:
-    """All factorizations of x into irreducibles, up to associates and order.
-    Each multiset re-multiplies to an associate of x.
+    """All factorizations of x into irreducibles, up to associates and order;
+    each re-multiplies to an associate of x. A given session must run on
+    the order's kernel (_element_kernel), as order_hfd_witness's does.
     """
     if x.is_zero() or x.is_unit():
         raise ValueError("factor nonzero nonunits only")
-    view = session.view if session is not None else element_monoid_view(order)
-    session = session or FactorSession(view)
-    return session.factorizations(canonical_associate(x))
+    if x.order != order:
+        raise ValueError("elements of different orders")
+    session = session or FactorSession(_element_kernel(order))
+    return tuple(_as_elements(order, f)
+                 for f in session.factorizations(_unit_canon(order)(x.a, x.b)))

@@ -21,7 +21,7 @@ from normset_lab import (
 from normset_lab import hfd_lab
 from normset_lab.hfd_lab import HFD_DS, UFD_DS
 from normset_lab.monoid_core import FactorMultiset, WindowVerdict
-from normset_lab.quadratic import canonical_associate
+from normset_lab.quadratic import QuadElem, canonical_associate
 
 
 def _remultiplies(verdict) -> bool:
@@ -199,6 +199,25 @@ def test_classification_records_are_plain(report):
         assert w is None or isinstance(w, (int, str, list))
         if isinstance(w, list):
             assert all(isinstance(t, str) for t in w)
+
+
+def _elements_of(order, f):
+    return isinstance(f, FactorMultiset) and all(
+        type(x) is QuadElem and x.order == order for x in f)
+
+
+def test_witnesses_are_elements_of_the_order(report):
+    # the element kernel runs on (a, b) pairs; what comes back is QuadElem
+    for d, n, B in ((-1, 2, 10), (-14, 1, 100), (-3, 3, 400)):
+        order = order_of(d, n)
+        x, short, long_ = bounded_hfd_check(order, B).witness
+        assert type(x) is QuadElem and x.order == order
+        assert _elements_of(order, short) and _elements_of(order, long_)
+    witnessed = [r for r in report if r.witness is not None]
+    assert len(witnessed) == 123
+    for r in witnessed:
+        order = order_of(r.d, r.n)
+        assert all(_elements_of(order, f) for f in r.witness), (r.d, r.n)
 
 
 def test_known_discriminant_lists():

@@ -509,17 +509,46 @@ def test_strong_saturation_imaginary_exact():
     assert v2.answer == "no"
 
 
-def test_strong_saturation_real_unknown():
+def test_strong_saturation_real_exact():
     order = order_of(34)
     three = order.element(3, 0)          # norm 9
     beta = order.element(5, 1)           # norm -9
     v = strong_saturation_check(order, three, beta)
-    # no divisor of 5+w has norm +9 (that would need a norm -1 unit);
-    # the bounded search cannot certify absence, so it reports unknown
-    assert v.answer == "unknown"
-    assert v.bound_used is not None
+    # no divisor of 5+w has norm +9 (that would need a norm -1 unit); the
+    # search at the exact bound lists every same-norm associate class, so
+    # its exhaustion is an exact no
+    assert v.answer == "no"
+    assert v.bound_used == exact_real_search_bound(order, 9)
     with pytest.raises(ValueError):
         strong_saturation_check(order, order.element(0, 0), beta)
+
+
+def test_strong_saturation_real_finds_a_divisor_of_every_product():
+    # alpha divides alpha * delta, so the answer is yes, whichever same-norm
+    # associate of alpha the exact list holds
+    from normset_lab.quadratic import divide_exact
+    for d in (2, 3, 5, 10, 34):
+        order = order_of(d)
+        eps, _ = order_fundamental_unit(order)
+        for alpha in (order.element(3, 1), order.element(2, -1), order.element(1, 2) * eps):
+            for delta in (order.element(2, 1), order.element(-1, 3), eps * eps * eps):
+                beta = alpha * delta
+                v = strong_saturation_check(order, alpha, beta)
+                assert v.answer == "yes", (d, alpha, delta)
+                assert v.witness.norm() == alpha.norm()
+                assert divide_exact(beta, v.witness) is not None
+
+
+def test_strong_saturation_real_refuses_past_the_ceiling(monkeypatch):
+    # N(31+7w) = 2 in Z[(1+sqrt(97))/2] needs |b| <= 18,176,283: refused
+    # before any norm search, with the message of a membership search
+    order = order_of(97)
+    alpha = order.element(31, 7)
+    beta = alpha * alpha
+    assert exact_real_search_bound(order, 2) > _REAL_SEARCH_CEILING
+    monkeypatch.setattr(normsets, "elements_of_norm", None)
+    with pytest.raises(NeedsBound, match="needs [|]b[|] <= 18176283; pass an explicit bound"):
+        strong_saturation_check(order, alpha, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ from math import isqrt
 
 from normset_lab.arith import divisors, is_square, is_squarefree
 from normset_lab.errors import BadDiscriminant, NeedsBound
-from normset_lab.quadratic import (HALF_KIND, QuadElem, _canonical_key,
-                                   _sol_key, canonical_associate,
-                                   divide_exact, element_monoid_view,
+from normset_lab.quadratic import (HALF_KIND, QuadElem, _element_kernel, _sol_key,
+                                   canonical_associate, divide_exact,
+                                   element_monoid_view,
                                    elements_of_norm, exact_real_search_bound,
                                    factor_element, fundamental_unit,
                                    is_irreducible, norm_plus_unit, norm_table,
@@ -566,12 +566,22 @@ def test_is_irreducible_gaussian():
         is_irreducible(order_of(2).element(2, 0))
 
 
+def _quotient_by_conj(x, y):
+    """x / y by QuadElem arithmetic: x * conj(y) over N(y), or None when that
+    leaves the order.
+    """
+    num, nm = x * y.conj(), y.norm()
+    if num.a % nm or num.b % nm:
+        return None
+    return x.order.element(num.a // nm, num.b // nm)
+
+
 def _irreducible_by_norm_loop(x):
     """Irreducibility by its own divisor loop: no element of any norm k | N(x),
     2 <= k <= N(x)/2, divides x exactly.
     """
     nm = x.norm()
-    return not any(divide_exact(x, y) is not None
+    return not any(_quotient_by_conj(x, y) is not None
                    for k in divisors(nm) if 2 <= k <= nm // 2
                    for y in elements_of_norm(x.order, k))
 
@@ -617,6 +627,8 @@ def test_divide_exact():
     q = divide_exact(x, y)
     assert q is not None and q * y == x
     assert divide_exact(o.element(3, 0), y) is None
+    with pytest.raises(ValueError):
+        divide_exact(x, order_of(-1, 2).element(1, 1))
 
 
 def test_parse_element_round_trip():
@@ -639,6 +651,11 @@ def test_element_window_includes_integers_by_magnitude():
     assert any(abs(x.norm()) == 15 and x.b != 0 for x in window)
     assert all(abs(x.a) <= 20 if x.b == 0 else abs(x.norm()) <= 20
                for x in window)
+
+
+def _canonical_key(x):
+    """The element view's key: norm, then signs, then sizes."""
+    return (abs(x.norm()), x.b < 0, x.a < 0, abs(x.b), abs(x.a))
 
 
 def _window_size(x):
@@ -685,3 +702,61 @@ def test_streamed_window_is_lazy():
     view = element_monoid_view(order_of(-5))
     first = next(iter(view.elements_up_to(10**9)))
     assert (first.a, first.b) == (2, 0)
+
+
+# the integer element kernel against the QuadElem arithmetic
+
+
+KERNEL_ORDERS = [(-1, 1), (-3, 1), (-3, 2), (-5, 1), (-14, 1), (-7, 2)]
+KERNEL_BOX = range(-12, 13)
+
+
+def _orbit_min(x):
+    """The canonical associate by QuadElem products: the least of the unit
+    orbit under (b<0, a<0, |b|, |a|).
+    """
+    return min((u * x for u in units(x.order)),
+               key=lambda y: (y.b < 0, y.a < 0, abs(y.b), abs(y.a)))
+
+
+@pytest.mark.parametrize("d,n", KERNEL_ORDERS)
+def test_kernel_agrees_with_element_arithmetic(d, n):
+    # unit groups of order 4 (d = -1), 6 (d = -3) and 2 (the rest)
+    order = order_of(d, n)
+    kernel = _element_kernel(order)
+    assert len(units(order)) == {(-1, 1): 4, (-3, 1): 6}.get((d, n), 2)
+    grid = [order.element(a, b) for a in KERNEL_BOX for b in KERNEL_BOX]
+    grid = [x for x in grid if not x.is_zero()]
+    small = [y for y in grid if abs(y.a) <= 2 and abs(y.b) <= 2]
+    for x in grid:
+        c = tuple(_orbit_min(x))
+        assert kernel.op((x.a, x.b), (1, 0)) == c == tuple(canonical_associate(x)), x
+        for y in small:
+            assert kernel.op((x.a, x.b), (y.a, y.b)) == tuple(_orbit_min(x * y)), (x, y)
+            q = _quotient_by_conj(x, y)
+            assert divide_exact(x, y) == q, (x, y)
+            want = None if q is None else tuple(_orbit_min(q))
+            assert kernel.divide((y.a, y.b), (x.a, x.b)) == want, (x, y)
+            assert kernel.divide((y.a, y.b), tuple(x * y)) == c, (x, y)
+        if not x.is_unit():
+            none = next(iter(kernel.proper_divisors(c)), None) is None
+            assert none == _irreducible_by_norm_loop(x), x
+
+
+@pytest.mark.parametrize("d,n", [(-1, 1), (-3, 1), (-5, 1), (-14, 1), (-23, 1),
+                                 (-1, 2), (-3, 2), (-3, 3), (-7, 2), (-11, 3)])
+def test_kernel_window_is_the_element_window(d, n):
+    order = order_of(d, n)
+    window = [QuadElem(order, a, b) for a, b in _element_kernel(order).elements_up_to(300)]
+    assert window == list(element_monoid_view(order).elements_up_to(300))
+
+
+def test_factor_element_returns_elements_of_the_order():
+    for d, n, a, b in ((-14, 1, 18, 0), (-5, 1, 6, 0), (-3, 2, 8, 2), (-1, 2, 8, 0)):
+        order = order_of(d, n)
+        facts = factor_element(order, order.element(a, b))
+        assert facts
+        for f in facts:
+            assert all(type(x) is QuadElem and x.order == order for x in f), f
+    with pytest.raises(ValueError, match="different orders"):
+        factor_element(order_of(-5), order_of(-14).element(18, 0))
