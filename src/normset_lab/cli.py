@@ -347,7 +347,7 @@ def _cmd_valnet(args):
     if op == "divisors":
         ds = vn.monoid_divisors(m, b, depth)
         return {**base, "divisors": [str(d) for d in ds], "count": len(ds),
-                "exact": m.kind == "generated" or b.tail == 0}, EXIT_OK
+                "exact": m.kind == "generated" or b.tail == 0 or not m.contains(b)}, EXIT_OK
     if op == "accp":
         if not toks:
             raise UsageError("valnet accp needs a chain length")

@@ -228,18 +228,6 @@ def _unit_verdict(order: QuadraticOrder, m: int) -> Verdict:
     return Verdict("no", None, None, "units", m)
 
 
-def _search_bound(order: QuadraticOrder, m: int, bound: int | None) -> tuple:
-    """(bound used, exact bound) under the bound rule of _search."""
-    exact_b = None if order.is_imaginary else exact_real_search_bound(order, m)
-    sb = exact_b if bound is None or exact_b is None else min(bound, exact_b)
-    if exact_b is not None and sb > _REAL_SEARCH_CEILING:
-        hint = ("pass an explicit bound" if bound is None
-                else f"pass a bound <= {_REAL_SEARCH_CEILING}")
-        raise NeedsBound(
-            f"exact search for norm {m} in {order} needs |b| <= {exact_b}; {hint}")
-    return sb, exact_b
-
-
 def _search(order: QuadraticOrder, m: int, bound: int | None,
             table: dict | None) -> tuple[list[QuadElem], int | None, int | None]:
     """The element search under the bound rule, as (solutions, bound used,
@@ -250,7 +238,13 @@ def _search(order: QuadraticOrder, m: int, bound: int | None,
     returns the entry for m of a norm table: the window's when it covers m,
     else norm_table(order, m, m).
     """
-    sb, exact_b = _search_bound(order, m, bound)
+    exact_b = None if order.is_imaginary else exact_real_search_bound(order, m)
+    sb = exact_b if bound is None or exact_b is None else min(bound, exact_b)
+    if exact_b is not None and sb > _REAL_SEARCH_CEILING:
+        hint = ("pass an explicit bound" if bound is None
+                else f"pass a bound <= {_REAL_SEARCH_CEILING}")
+        raise NeedsBound(
+            f"exact search for norm {m} in {order} needs |b| <= {exact_b}; {hint}")
     if sb == exact_b:
         hit = (norm_table(order, m, m) if table is None else table).get(m)
         return ([] if hit is None else [hit]), sb, exact_b
@@ -517,8 +511,9 @@ def strong_saturation_check(order: QuadraticOrder, alpha: QuadElem,
     """Look for a ring divisor gamma of beta with N(gamma) = N(alpha).
     Exact on both kinds. A real order lists one solution per same-norm
     associate class at the exact bound, and divisibility does not depend on
-    the associate, so an exhausted list is a "no"; past the ceiling of
-    _search the search is refused with NeedsBound.
+    the associate, so an exhausted list is a "no"; when that bound passes
+    the ceiling of _search the check is refused with NeedsBound, naming
+    both.
     """
     na = alpha.norm()
     nb = beta.norm()
@@ -528,7 +523,10 @@ def strong_saturation_check(order: QuadraticOrder, alpha: QuadElem,
     if nb % na:
         # gamma | beta forces N(gamma) | N(beta), so no candidate exists
         return Verdict("no", None, None, "exact", query)
-    sb, _ = _search_bound(order, na, None)  # None on imaginary orders
+    sb = None if order.is_imaginary else exact_real_search_bound(order, na)
+    if sb is not None and sb > _REAL_SEARCH_CEILING:
+        raise NeedsBound(f"strong saturation search for norm {na} in {order} needs "
+                         f"|b| <= {sb}, past the search ceiling {_REAL_SEARCH_CEILING}")
     backend = "exact" if order.is_imaginary else "form_search"
     for g in elements_of_norm(order, na, search_bound=sb):
         if divide_exact(beta, g) is not None:

@@ -17,8 +17,12 @@ componentwise order. The simulator works with two monoid descriptions:
 Nets are canonical: the support stores only deviations from the tail, so
 equality of nets is equality of functions. A net of a generated monoid has
 finitely many members below it, so every query there is exact (or raises
-CapExceeded past a million members). Only the infinite divisor lists of
-positive-tail sequence nets are cut at a depth.
+CapExceeded past a million members). Those members make one table per
+(monoid, net); the last table built is kept, so the next query on the same
+net reuses it and at most one table stays in memory between calls. Only the
+infinite divisor lists of positive-tail sequence nets are cut at a depth. A
+sequence net whose value at infinity is off its tail is no member and has
+no divisors: its divisor list is empty and its S_b is the empty set.
 
 Ideal norms carry an attainment flag: (gamma, attained=False) encodes the
 value gamma + epsilon of an infimum that no element reaches. Epsilons
@@ -31,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import compress, islice
 from math import ceil, floor, inf, lcm, prod
 from operator import add, le, sub
@@ -281,7 +285,7 @@ class NetMonoid:
             return x.at_infinity == x.tail
         if x.is_zero:
             return True
-        t = _Table(self, x)
+        t = _table(self, x)
         return t.vec(x) in t.members
 
     def __str__(self):
@@ -405,29 +409,48 @@ class _Table:
                           proper_divisors=proper_divisors, elements_up_to=lambda B: [])
 
 
+@lru_cache(maxsize=1)
+def _table(m: NetMonoid, b: ValNet) -> _Table:
+    """_Table(m, b), kept until a call on another (monoid, net): consecutive
+    queries on one net share one table, and at most one outlives a call."""
+    return _Table(m, b)
+
+
 def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = 32) -> list[ValNet]:
     """Nonunit divisors of b inside m, i.e. members d <= b whose cofactor
     b - d is also a member, sorted by _net_key.
 
-    Generated monoids: complete (see _Table for its cap). Sequence domain
+    Generated monoids: complete (see _Table for its cap); the member table
+    is reused by the next query on the same (monoid, net). Sequence domain
     with zero tail: complete (every nonzero net below b), or CapExceeded
     beyond 10,000 divisors. With a positive tail b has infinitely many
-    divisors, and the list is truncated by `depth`.
+    divisors, and the list is truncated by `depth`. A sequence net with its
+    value at infinity off its tail is no member, and neither is any b - d,
+    so it has no divisors.
     """
     if m.kind == "generated":
-        t = _Table(m, b)
+        t = _table(m, b)
         return [t.net(d) for d in sorted(t.divisors(t.vec(b)), key=t.key)]
+    if not m.contains(b):
+        return []
     if b.tail == 0:
         count = prod(v + 1 for _, v in b.support) - 1
         if count > _DIVISOR_CAP:
             raise CapExceeded(f"{b} has {count} divisors, more than {_DIVISOR_CAP} "
                               "to list", cap=_DIVISOR_CAP)
-        idxs, budget = [i for i, _ in b.support], inf
-    else:
-        # finite-support divisors over the next `depth` indices, of total
-        # mass at most depth; those that keep the tail are added below
-        hi = max([*b.support_indices(), 0]) + depth
-        idxs, budget = [i for i in range(1, hi + 1) if b.value_at(i) > 0], depth
+        # rows (_net_key support, support), extended one index at a time;
+        # the zero net's row has the empty key and sorts first
+        rows = [((), ())]
+        for i, v in b.support:
+            s = str(i)
+            rows = [(k + ((s, x),), sup + ((i, x),)) if x else (k, sup)
+                    for k, sup in rows for x in range(v + 1)]
+        rows.sort()
+        return [ValNet(m.index_set, sup) for _, sup in rows[1:]]
+    # finite-support divisors over the next `depth` indices, of total mass
+    # at most depth, then those that keep the tail
+    hi = max([*b.support_indices(), 0]) + depth
+    idxs = [i for i in range(1, hi + 1) if b.value_at(i) > 0]
 
     def below(pos, budget):
         """Supports of the finite nets under b at idxs[pos:], of mass <= budget."""
@@ -439,9 +462,8 @@ def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = 32) -> list[ValNet]:
             for rest in below(pos + 1, budget - v):
                 yield ((i, v),) + rest if v else rest
     # the first support below is the zero net's
-    out = [ValNet(m.index_set, sup) for sup in islice(below(0, budget), 1, _DIVISOR_CAP + 1)]
-    if b.tail > 0:
-        out += [b] + [net_sub(b, e_net(m.index_set, i)) for i in idxs]
+    out = [ValNet(m.index_set, sup) for sup in islice(below(0, depth), 1, _DIVISOR_CAP + 1)]
+    out += [b] + [net_sub(b, e_net(m.index_set, i)) for i in idxs]
     return sorted(set(out), key=_net_key)
 
 
@@ -451,13 +473,16 @@ def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = 32) -> list[ValNet]:
 
 def S_b(m: NetMonoid, b: ValNet, depth: int = 12) -> set:
     """Lengths ||d|| of nonunit divisors of b in m. Exact for generated
-    monoids, and for zero-tail sequence nets, where every total from 1 to
-    ||b|| occurs. A positive tail allows every finite total, and infinity
-    joins (b divides b); the finite totals are cut at b's mass over the
-    indices 1 .. max(support) + depth, the window of monoid_divisors.
+    monoids, read off the member table, which the next query on the same
+    (monoid, net) reuses. Exact for zero-tail sequence nets, where every
+    total from 1 to ||b|| occurs. A positive tail allows every finite
+    total, and infinity joins (b divides b); the finite totals are cut at
+    b's mass over the indices 1 .. max(support) + depth, the window of
+    monoid_divisors. A sequence net that is no member has no divisors and
+    answers the empty set.
     """
     if m.kind == "sequence_domain":
-        if b.is_zero:
+        if b.is_zero or not m.contains(b):
             return set()
         if b.tail == 0:
             top = length(b)
@@ -465,7 +490,8 @@ def S_b(m: NetMonoid, b: ValNet, depth: int = 12) -> set:
         hi = max([*b.support_indices(), 0]) + depth
         finite_top = sum(b.value_at(i) for i in range(1, hi + 1))
         return set(range(1, finite_top + 1)) | {inf}
-    return {length(d) for d in monoid_divisors(m, b)}
+    t = _table(m, b)
+    return {length(t.net(d)) for d in t.divisors(t.vec(b))}
 
 
 def inf_S_b(m: NetMonoid, b: ValNet, depth: int = 12):
@@ -511,7 +537,7 @@ def net_factorizations(m: NetMonoid, b: ValNet) -> tuple[FactorMultiset, ...]:
         raise ValueError("the zero net is a unit")
     if b.index_set != m.index_set:
         return ()
-    t = _Table(m, b)
+    t = _table(m, b)
     if t.vec(b) not in t.members:
         return ()  # not a sum of atoms at all
     return tuple(FactorMultiset(tuple(map(t.net, f.atoms)))
@@ -543,7 +569,7 @@ def find_atomic_factorization(m: NetMonoid, b: ValNet,
         return SearchOutcome("none_within_depth")
     if b.index_set != m.index_set:
         return SearchOutcome("proven_none")
-    t = _Table(m, b)
+    t = _table(m, b)
     x = t.vec(b)
     if x not in t.members:
         return SearchOutcome("proven_none")
@@ -589,7 +615,7 @@ def accp_chain(m: NetMonoid, b: ValNet, k: int) -> list[ValNet] | None:
 
     if k == 1:
         return chain
-    t = _Table(m, b)
+    t = _table(m, b)
 
     @cache
     def below(x):
@@ -633,7 +659,7 @@ def comaximal_family(m: NetMonoid, b: ValNet, k: int,
         if len(idxs) < k:
             return None
         return [e_net(m.index_set, i) for i in idxs[:k]]
-    t = _Table(m, b)
+    t = _table(m, b)
     # disjointness reads only where a divisor is positive, and the least
     # family takes the key-least divisor of each positive pattern it uses
     least: dict[tuple, tuple] = {}
@@ -670,7 +696,7 @@ def finite_cover_check(m: NetMonoid, b: ValNet, candidate: list,
             raise ValueError(f"{idx!r} is not an index here")
     if m.kind == "sequence_domain":
         return b.tail == 0 and cand.issuperset(b.support_indices())
-    t = _Table(m, b)
+    t = _table(m, b)
     # over omega plus a point, an index off the labels reads the tail column
     cols = {t.labels.index(i) if i in t.labels else len(t.labels) - 2 for i in cand}
     return all(any(d[c] > 0 for c in cols) for d in t.divisors(t.vec(b)))
@@ -684,7 +710,7 @@ def idempotent_cover_check(m: NetMonoid) -> bool:
     positive tail. The atoms are read in the member table's coordinates, so
     over omega plus a point the tail and the infinite point count too.
     """
-    t = _Table(m, m.zero())
+    t = _table(m, m.zero())
     tags = [m.index_set.tag_of(i) for i in t.labels]
     for g in map(t.vec, m.atoms):
         positive = {tag for tag, v in zip(tags, g) if v > 0}
@@ -704,15 +730,17 @@ class DivisorCount:
 
 def ffd_window(m: NetMonoid, b: ValNet, depth: int = 16) -> DivisorCount:
     """Number of distinct nonunit divisors of b. Exact for generated
-    monoids and zero-tail sequence members. A positive tail has infinitely
-    many divisors, and the count of the depth-truncated list is a lower
-    bound.
+    monoids and zero-tail sequence members, and 0 (exact) for a sequence
+    net that is no member. A positive tail has infinitely many divisors,
+    and the count of the depth-truncated list is a lower bound.
     """
-    if m.kind == "sequence_domain" and b.tail == 0:
-        return DivisorCount(prod(v + 1 for _, v in b.support) - 1, True)
     if m.kind == "sequence_domain":
+        if not m.contains(b):
+            return DivisorCount(0, True)
+        if b.tail == 0:
+            return DivisorCount(prod(v + 1 for _, v in b.support) - 1, True)
         return DivisorCount(len(monoid_divisors(m, b, depth)), False)
-    t = _Table(m, b)
+    t = _table(m, b)
     return DivisorCount(len(t.divisors(t.vec(b))), True)
 
 

@@ -507,3 +507,11 @@ def test_valnet_divisor_count_is_ffd_window(capsys):
         _, out, _ = run(capsys, *argv)
         rec = json.loads(out)
         assert (rec["count"], rec["exact"]) == (count.count, count.exact), cmd
+
+
+@pytest.mark.parametrize("net", ["1:2,inf:1", "1:2,tail:1,inf:2"])
+def test_valnet_non_member_sequence_net_lists_no_divisors(capsys, net):
+    # the value at infinity is off the tail: no member, no divisors, exactly
+    _, out, _ = run(capsys, *_golden_argv(f"valnet seq.net divisors {net}"))
+    rec = json.loads(out)
+    assert (rec["divisors"], rec["count"], rec["exact"]) == ([], 0, True)

@@ -541,14 +541,19 @@ def test_strong_saturation_real_finds_a_divisor_of_every_product():
 
 def test_strong_saturation_real_refuses_past_the_ceiling(monkeypatch):
     # N(31+7w) = 2 in Z[(1+sqrt(97))/2] needs |b| <= 18,176,283: refused
-    # before any norm search, with the message of a membership search
+    # before any norm search, naming the bound and the ceiling; the check
+    # takes no bound, so the message offers none to pass
     order = order_of(97)
     alpha = order.element(31, 7)
     beta = alpha * alpha
     assert exact_real_search_bound(order, 2) > _REAL_SEARCH_CEILING
     monkeypatch.setattr(normsets, "elements_of_norm", None)
-    with pytest.raises(NeedsBound, match="needs [|]b[|] <= 18176283; pass an explicit bound"):
+    with pytest.raises(NeedsBound) as err:
         strong_saturation_check(order, alpha, beta)
+    assert str(err.value) == (
+        f"strong saturation search for norm 2 in {order} needs |b| <= 18176283, "
+        f"past the search ceiling {_REAL_SEARCH_CEILING}")
+    assert "pass" not in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from math import inf
 
 import pytest
@@ -295,6 +296,60 @@ def test_divisors_sequence_zero_tail_are_complete():
     assert ffd_window(SEQ, parse_net(SEQ, "1:10,2:10,3:10,4:10")) == DivisorCount(14640, True)
 
 
+def _brute_zero_tail_divisors(b):
+    """Every nonzero net below a zero-tail b, by a product over its support."""
+    idxs = b.support_indices()
+    nets = [make_net(OMEGA, dict(zip(idxs, vs)))
+            for vs in product(*(range(v + 1) for _, v in b.support))]
+    return sorted((d for d in nets if not d.is_zero), key=_net_key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vals=st.dictionaries(st.sampled_from([1, 2, 3, 9, 10, 11, 20, 100]),
+                            st.integers(1, 4), max_size=4))
+@example(vals={2: 1, 10: 1})
+@example(vals={})
+def test_zero_tail_divisors_match_brute_force(vals):
+    b = make_net(OMEGA, vals)
+    divs = monoid_divisors(SEQ, b)
+    assert divs == _brute_zero_tail_divisors(b)
+    assert ffd_window(SEQ, b) == DivisorCount(len(divs), True)
+
+
+def test_zero_tail_divisors_sort_indices_as_strings():
+    # _net_key compares str(i), so index 10 sorts before index 2
+    assert [str(d) for d in monoid_divisors(SEQ, parse_net(SEQ, "2:1,10:1"))] == [
+        "(10:1, tail:0, inf:0)", "(2:1, tail:0, inf:0)", "(2:1, 10:1, tail:0, inf:0)"]
+
+
+def test_zero_tail_divisor_cap_boundary(monkeypatch):
+    # 73 * 137 - 1 = 10,000 divisors: listed in full
+    at_cap = parse_net(SEQ, "1:72,2:136")
+    divs = monoid_divisors(SEQ, at_cap)
+    assert len(divs) == 10_000 and divs == _brute_zero_tail_divisors(at_cap)
+    assert ffd_window(SEQ, at_cap) == DivisorCount(len(divs), True)
+    # 2 * 3 * 1667 - 1 = 10,001: refused before a single net is built
+    past_cap = parse_net(SEQ, "1:1,2:2,3:1666")
+    monkeypatch.setattr(vn, "ValNet", None)
+    with pytest.raises(CapExceeded) as err:
+        monoid_divisors(SEQ, past_cap)
+    assert err.value.cap == 10_000 and "10001 divisors" in str(err.value)
+
+
+@pytest.mark.parametrize("b", [make_net(OMEGA, {1: 2}, tail=0, at_infinity=1),
+                               make_net(OMEGA, {1: 2}, tail=1, at_infinity=2),
+                               make_net(OMEGA, {}, tail=1, at_infinity=0)],
+                         ids=str)
+def test_non_member_sequence_net_has_no_divisors(b):
+    # no cofactor b - d keeps the value at infinity equal to the tail
+    assert not SEQ.contains(b)
+    assert monoid_divisors(SEQ, b) == []
+    assert ffd_window(SEQ, b) == DivisorCount(0, True)
+    assert S_b(SEQ, b) == set()
+    assert inf_S_b(SEQ, b) is None
+    assert bfd_bound(SEQ, b) is None
+
+
 def test_s_b_and_bfd_bound():
     assert S_b(SEQ, B23) == {1, 2, 3, 4, 5}
     assert inf_S_b(SEQ, B23) == 1
@@ -412,7 +467,9 @@ def test_accp_chain_generated():
 
 @pytest.fixture
 def table_builds(monkeypatch):
-    """The argument tuples of every _Table built during the test."""
+    """The argument tuples of every _Table built during the test, which
+    starts and ends with no table kept."""
+    vn._table.cache_clear()
     builds = []
 
     class CountingTable(vn._Table):
@@ -421,7 +478,24 @@ def table_builds(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(vn, "_Table", CountingTable)
-    return builds
+    yield builds
+    vn._table.cache_clear()
+
+
+def test_consecutive_queries_on_one_net_share_a_table(table_builds):
+    b = fnet(6, 4)
+    assert S_b(M2, b) == {length(d) for d in monoid_divisors(M2, b)}
+    assert len(table_builds) == 1
+    assert inf_S_b(M2, b) == 2
+    assert len(table_builds) == 1
+    divs = monoid_divisors(M2, b)
+    assert ffd_window(M2, b) == DivisorCount(len(divs), True)
+    assert len(table_builds) == 1
+    # another net builds its own table, and only the last one is kept
+    assert M2.contains(fnet(4, 4))
+    assert len(table_builds) == 2
+    assert ffd_window(M2, b) == DivisorCount(len(divs), True)
+    assert [args[1] for args in table_builds] == [b, fnet(4, 4), b]
 
 
 def test_accp_chain_of_one_needs_no_enumeration(table_builds):
@@ -811,7 +885,7 @@ def test_comax_and_cover_build_one_table_and_list_no_divisors(monkeypatch, table
     assert comaximal_family(M2, fnet(4, 4), 2) == [fnet(2, 0), fnet(0, 2)]
     assert len(table_builds) == 1
     assert not finite_cover_check(M2, fnet(4, 4), ["M1"])
-    assert len(table_builds) == 2 and listed == []
+    assert len(table_builds) == 1 and listed == []
 
 
 def _check_table_against_bfs(m, b, depth):
