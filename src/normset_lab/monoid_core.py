@@ -281,7 +281,8 @@ class MonoidView:
       otherwise; a unit cofactor (d, x associates) is returned, not None.
     - `proper_divisors(x)` yields (d, cofactor) pairs with both parts nonunit
       members; it must be finite and complete for every element it is asked
-      about, so x is an atom exactly when it yields nothing.
+      about, so x is an atom exactly when it yields nothing. Each pair is
+      listed exactly once, in any order; callers rely on nothing else.
     - `key` is a total sort key.
     - `elements_up_to(B)` returns an iterable, possibly lazy, of every
       member the view measures as <= B, in its window order; window scans
@@ -305,7 +306,8 @@ class FactorSession:
 
     Results are exact for every queried element (completeness is inherited
     from the view's proper_divisors); the session is only a cache plus a
-    work budget, not a window.
+    work budget, not a window. It lists each element's divisors once, for
+    both the atom verdict and the search.
     """
 
     def __init__(self, view: MonoidView, budget: int = 10_000_000):
@@ -328,9 +330,7 @@ class FactorSession:
         hit = self._atom.get(k)
         if hit is None:
             self._charge()
-            first = next(iter(self.view.proper_divisors(x)), None)
-            hit = first is None
-            self._atom[k] = hit
+            hit = self._atom[k] = next(iter(self.view.proper_divisors(x)), None) is None
         return hit
 
     def factorizations(self, x) -> tuple[FactorMultiset, ...]:
@@ -339,12 +339,15 @@ class FactorSession:
         hit = self._facts.get(kx)
         if hit is not None:
             return hit
-        if self.is_atom(x):
-            res = (FactorMultiset((x,)),)
-            self._facts[kx] = res
+        # an undecided atom verdict is charged once, as in is_atom
+        if kx not in self._atom:
+            self._charge()
+        pairs = [] if self._atom.get(kx) else list(self.view.proper_divisors(x))
+        if self._atom.setdefault(kx, not pairs):
+            res = self._facts[kx] = (FactorMultiset((x,)),)
             return res
         atom_pairs = {}
-        for d, q in self.view.proper_divisors(x):
+        for d, q in pairs:
             self._charge()
             kd = self.view.key(d)
             if kd not in atom_pairs and self.is_atom(d):
@@ -357,8 +360,7 @@ class FactorSession:
                     continue
                 atoms = (d,) + rest.atoms
                 acc.setdefault(tuple(self.view.key(a) for a in atoms), FactorMultiset(atoms))
-        res = tuple(acc[k] for k in sorted(acc))
-        self._facts[kx] = res
+        res = self._facts[kx] = tuple(acc[k] for k in sorted(acc))
         return res
 
 

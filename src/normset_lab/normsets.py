@@ -342,9 +342,6 @@ def normset_monoid_view(ns: NormsetHandle) -> MonoidView:
     def canon(m: int) -> int:
         return abs(m) if neg_unit else m
 
-    def op(a: int, b: int) -> int:
-        return canon(a * b)
-
     def divide(q: int, x: int):
         if x % q:
             return None
@@ -355,10 +352,11 @@ def normset_monoid_view(ns: NormsetHandle) -> MonoidView:
         return c if member(c) else None
 
     def proper_divisors(x: int):
+        # magnitudes 2 <= k <= sqrt|x| only; canon(x // c) == u gives (c, u) unless k^2 = |x|
         ax = abs(x)
-        for k in divisors(ax):
-            if k < 2 or k > ax // 2:
-                continue
+        for k in divisors(ax)[1:]:
+            if k * k > ax:
+                break
             for s in signs:
                 u = s * k
                 if not member(u):
@@ -366,6 +364,8 @@ def normset_monoid_view(ns: NormsetHandle) -> MonoidView:
                 c = canon(x // u)
                 if member(c):
                     yield u, c
+                    if k * k < ax:
+                        yield c, u
 
     def elements_up_to(bound: int) -> list[int]:
         return ns.members_up_to(bound) if signs == (1, -1) else [
@@ -373,7 +373,7 @@ def normset_monoid_view(ns: NormsetHandle) -> MonoidView:
 
     return MonoidView(
         name=str(ns),
-        op=op,
+        op=lambda a, b: canon(a * b),
         divide=divide,
         proper_divisors=proper_divisors,
         key=lambda m: (abs(m), m < 0),

@@ -542,6 +542,7 @@ def _element_kernel(order: QuadraticOrder) -> MonoidView:
     p, q = order.p, order.q
     canon = _unit_canon(order)
     by_norm: dict[int, list[tuple[int, int]]] = {}
+    low: dict[int, list[int]] = {}
 
     def of_norm(k):
         hit = by_norm.get(k)
@@ -554,15 +555,19 @@ def _element_kernel(order: QuadraticOrder) -> MonoidView:
         return (a * a + p * a * b - q * b * b, b < 0, a < 0, abs(b), abs(a))
 
     def proper_divisors(x):
-        # a divisor of norm k <= N(x)/2 leaves a cofactor of norm >= 2
+        # norms 2 <= k <= sqrt(N) only; each cofactor c gives (c, d) unless k^2 = N
         a, b = x
         nm = a * a + p * a * b - q * b * b
-        for k in divisors(nm):
-            if 2 <= k <= nm // 2:
-                for c, e in of_norm(k):
-                    r = _quotient(p, q, a, b, c, e)
-                    if r is not None:
-                        yield (c, e), canon(*r)
+        if nm not in low:
+            low[nm] = [k for k in divisors(nm) if k >= 2 and k * k <= nm]
+        for k in low[nm]:
+            for dv in of_norm(k):
+                r = _quotient(p, q, a, b, *dv)
+                if r is not None:
+                    c = canon(*r)
+                    yield dv, c
+                    if k * k < nm:
+                        yield c, dv
 
     def divide(dv, x):
         r = _quotient(p, q, *x, *dv)

@@ -596,7 +596,11 @@ def accp_chain(m: NetMonoid, b: ValNet, k: int) -> list[ValNet] | None:
     if k < 1 or b.is_zero:
         return None
     chain = [b]
+    if k == 1:
+        return chain
     if m.kind == "sequence_domain":
+        if not m.contains(b):
+            return None
         cur = b
         while len(chain) < k:
             if cur.tail > 0:
@@ -613,8 +617,6 @@ def accp_chain(m: NetMonoid, b: ValNet, k: int) -> list[ValNet] | None:
             chain.append(cur)
         return chain
 
-    if k == 1:
-        return chain
     t = _table(m, b)
 
     @cache
@@ -656,7 +658,7 @@ def comaximal_family(m: NetMonoid, b: ValNet, k: int,
     if m.kind == "sequence_domain":
         hi = max([*b.support_indices(), 0]) + (k if b.tail > 0 else 0)
         idxs = [i for i in range(1, hi + 1) if b.value_at(i) > 0]
-        if len(idxs) < k:
+        if len(idxs) < k or not m.contains(b):
             return None
         return [e_net(m.index_set, i) for i in idxs[:k]]
     t = _table(m, b)
@@ -695,7 +697,7 @@ def finite_cover_check(m: NetMonoid, b: ValNet, candidate: list,
         if not b.index_set.valid_index(idx):
             raise ValueError(f"{idx!r} is not an index here")
     if m.kind == "sequence_domain":
-        return b.tail == 0 and cand.issuperset(b.support_indices())
+        return not m.contains(b) or (b.tail == 0 and cand.issuperset(b.support_indices()))
     t = _table(m, b)
     # over omega plus a point, an index off the labels reads the tail column
     cols = {t.labels.index(i) if i in t.labels else len(t.labels) - 2 for i in cand}

@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from normset_lab.arith import divisors
 from normset_lab.errors import CapExceeded, SearchBudgetExceeded
 from normset_lab.monoid_core import (AbelianGroup, FactorMultiset, FactorSession,
                                      _davenport_search, davenport,
@@ -12,7 +14,8 @@ from normset_lab.monoid_core import (AbelianGroup, FactorMultiset, FactorSession
                                      invariant_factors_from_table,
                                      is_hfm_window, is_length_factorial_window,
                                      is_ufm_window, numerical_monoid_view)
-from normset_lab.quadratic import element_monoid_view, order_of
+from normset_lab.normsets import normset_monoid_view, normset_of
+from normset_lab.quadratic import _element_kernel, element_monoid_view, elements_of_norm, order_of
 from normset_lab.valnet_sim import _Table, finite_indices, generated_monoid, parse_net
 
 
@@ -315,3 +318,67 @@ def test_random_numerical_monoid_refactors(g1, g2, m):
     for f in facts:
         assert sum(f.atoms) == m
         assert all(session.is_atom(a) for a in f.atoms)
+
+
+# ---------------------------------------------------------------------------
+# session accounting against a full-range divisor listing
+
+
+def _full_range_kernel(view, order):
+    """The kernel's pairs found by solving every norm 2 <= k <= N/2, so each
+    pair is found from both of its sides."""
+    def proper_divisors(x):
+        nm = view.key(x)[0]
+        for k in divisors(nm):
+            if 2 <= k <= nm // 2:
+                for y in dict.fromkeys(view.op(tuple(y), (1, 0))
+                                       for y in elements_of_norm(order, k)):
+                    c = view.divide(y, x)
+                    if c is not None:
+                        yield y, c
+    return replace(view, proper_divisors=proper_divisors)
+
+
+def _full_range_normset(view, ns):
+    """The normset view's pairs found by testing every |u| = k <= |x|/2."""
+    neg_unit = ns.contains(-1).answer == "yes"
+
+    def proper_divisors(x):
+        for k in divisors(x):
+            if 2 <= k <= abs(x) // 2:
+                for u in ((k,) if neg_unit else (k, -k)):
+                    c = view.divide(u, x)
+                    if c is not None and ns.contains(u).answer == "yes":
+                        yield u, c
+    return replace(view, proper_divisors=proper_divisors)
+
+
+def _assert_same_sessions(a, b):
+    assert a.spent == b.spent
+    assert a._atom == b._atom
+    assert a._facts == b._facts
+
+
+def test_session_accounting_matches_full_range_listing_on_kernel():
+    order = order_of(-3, 2)
+    view = _element_kernel(order)
+    sessions = [FactorSession(v) for v in (view, _full_range_kernel(view, order))]
+    verdicts = [is_hfm_window(s.view, 200, s) for s in sessions]
+    assert verdicts[0] == verdicts[1]
+    # Z[sqrt(-3)] is half-factorial; its window at 200 cost 7,758 charges
+    # before its divisor lists were cut to the smaller norm of each pair
+    assert verdicts[0].holds and sessions[0].spent == 7758
+    _assert_same_sessions(*sessions)
+    rhos = [elasticity_window(s.view, 60, s) for s in sessions]
+    assert rhos[0] == rhos[1] and rhos[0].witness == rhos[1].witness
+    _assert_same_sessions(*sessions)
+
+
+@pytest.mark.parametrize("d", [-5, -14, -23, 2, 3])
+def test_session_accounting_matches_full_range_listing_on_normsets(d):
+    ns = normset_of(order_of(d))
+    view = normset_monoid_view(ns)
+    sessions = [FactorSession(v) for v in (view, _full_range_normset(view, ns))]
+    rhos = [elasticity_window(s.view, 300, s) for s in sessions]
+    assert rhos[0] == rhos[1] and rhos[0].witness == rhos[1].witness
+    _assert_same_sessions(*sessions)

@@ -422,6 +422,29 @@ def test_monoid_view_division():
     assert view2.divide(2, 14) == 7
 
 
+@pytest.mark.parametrize("d,n", [(-5, 1), (-14, 1), (2, 1), (3, 1), (-3, 2)])
+def test_monoid_view_lists_each_divisor_pair_once(d, n):
+    # d = 2: -1 is a norm and signs fold; d = 3: it is not and members keep
+    # their sign; the brute force tests every |u| = k, 2 <= k <= |x|/2, so
+    # each pair shows up from both of its sides, and squares give k^2 = |x|
+    ns = normset_of(order_of(d, n))
+    assert ns.contains(-1).answer == ("yes" if d == 2 else "no")
+    view = normset_monoid_view(ns)
+    canon = abs if d == 2 else (lambda m: m)
+
+    def member(m):
+        return ns.contains(m).answer == "yes"
+
+    window = list(view.elements_up_to(300))
+    assert any(x < 0 for x in window) == (d == 3)
+    for x in window:
+        want = {(u, canon(x // u)) for k in range(2, abs(x) // 2 + 1) if x % k == 0
+                for u in (k, -k) if canon(u) == u and member(u) and member(canon(x // u))}
+        got = list(view.proper_divisors(x))
+        assert len(got) == len(set(got)), (x, got)
+        assert set(got) == want, x
+
+
 # ---------------------------------------------------------------------------
 # UFD criterion
 

@@ -760,3 +760,29 @@ def test_factor_element_returns_elements_of_the_order():
             assert all(type(x) is QuadElem and x.order == order for x in f), f
     with pytest.raises(ValueError, match="different orders"):
         factor_element(order_of(-5), order_of(-14).element(18, 0))
+
+
+@pytest.mark.parametrize("d,n", KERNEL_ORDERS)
+def test_kernel_lists_each_divisor_pair_once(d, n):
+    # the window holds the integers s, whose norm s^2 is a square (k^2 = N);
+    # the brute force solves every norm 2 <= k <= N/2 and divides by QuadElem
+    # arithmetic, so each pair shows up from both of its sides
+    order = order_of(d, n)
+    kernel = _element_kernel(order)
+    sols = {}
+    for a, b in kernel.elements_up_to(150):
+        x = order.element(a, b)
+        nm = x.norm()
+        want = set()
+        for k in range(2, nm // 2 + 1):
+            if nm % k:
+                continue
+            if k not in sols:
+                sols[k] = elements_of_norm(order, k)
+            for y in sols[k]:
+                q = _quotient_by_conj(x, y)
+                if q is not None:
+                    want.add((tuple(_orbit_min(y)), tuple(_orbit_min(q))))
+        got = list(kernel.proper_divisors((a, b)))
+        assert len(got) == len(set(got)), (x, got)
+        assert set(got) == want, x

@@ -348,6 +348,15 @@ def test_non_member_sequence_net_has_no_divisors(b):
     assert S_b(SEQ, b) == set()
     assert inf_S_b(SEQ, b) is None
     assert bfd_bound(SEQ, b) is None
+    # no nonunit divisors: no family, the empty divisor set is covered, and
+    # the only chain is b itself
+    assert comaximal_family(SEQ, b, 1) is None
+    assert comaximal_family(SEQ, b, 2) is None
+    assert finite_cover_check(SEQ, b, [])
+    assert finite_cover_check(SEQ, b, [1])
+    assert accp_chain(SEQ, b, 1) == [b]
+    assert accp_chain(SEQ, b, 2) is None
+    assert accp_chain(SEQ, b, 3) is None
 
 
 def test_s_b_and_bfd_bound():
