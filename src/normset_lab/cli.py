@@ -9,7 +9,9 @@ no atomic factorization found for a positive-tail sequence net).
 JSON reports are deterministic (sorted keys, no floats) and round-trip
 byte-identically through json.loads/json.dumps with the same options.
 The default window bound is 500, overridable by the NORMSET_LAB_BOUND
-environment variable and per-run by --bound.
+environment variable and per-run by --bound; only the subcommands that
+take --bound read the variable. Each flag's range is checked once, by its
+argparse type, and the handlers hand library values to _emit unchanged.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 
@@ -38,47 +39,6 @@ SCHEMA_VERSION = 1
 EXIT_OK, EXIT_USAGE, EXIT_UNKNOWN = 0, 1, 2
 
 _JSON_OPTS = dict(sort_keys=True, indent=2)
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the quadratic subcommands."""
-
-    d: int = 0
-    n: int = 1
-    bound: int = 500
-    format: str = "text"
-    depth: int = 32
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise UsageError("--n must be >= 1")
-        if self.bound < 4:
-            raise UsageError("--bound must be >= 4")
-        if self.depth < 1:
-            raise UsageError("--depth must be >= 1")
-        if self.format not in ("text", "json"):
-            raise UsageError("--format must be text or json")
-
-
-def _default_bound() -> int:
-    raw = os.environ.get("NORMSET_LAB_BOUND")
-    if raw is None:
-        return 500
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"NORMSET_LAB_BOUND={raw!r} is not an integer") from None
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        d=getattr(args, "d", 0) or 0,
-        n=getattr(args, "n", 1),
-        bound=getattr(args, "bound", 500),
-        format=args.format,
-        depth=getattr(args, "depth", 32),
-    )
 
 
 def _plain(v):
@@ -120,19 +80,18 @@ def _emit(fmt: str, record: dict):
 
 
 def _cmd_classgroup(args):
-    cfg = _config(args)
-    order = order_of(cfg.d, cfg.n)
+    order = order_of(args.d, args.n)
     cg = class_group(order.discriminant)
     payload = {
         "command": "classgroup",
-        "d": cfg.d,
-        "n": cfg.n,
+        "d": args.d,
+        "n": args.n,
         "discriminant": order.discriminant,
         "kind": cg.kind,
         "class_number": cg.class_number,
-        "structure": str(cg.structure),
-        "invariant_factors": list(cg.structure.invariant_factors),
-        "classes": [str(f) for f in cg.classes],
+        "structure": cg.structure,
+        "invariant_factors": cg.structure.invariant_factors,
+        "classes": cg.classes,
     }
     if not order.is_imaginary:
         payload["narrow_class_number"] = \
@@ -141,44 +100,42 @@ def _cmd_classgroup(args):
 
 
 def _cmd_norm(args):
-    cfg = _config(args)
-    order = order_of(cfg.d, cfg.n)
+    order = order_of(args.d, args.n)
     x = parse_element(order, args.elem)
     payload = {
         "command": "norm",
-        "order": str(order),
-        "elem": str(x),
+        "order": order,
+        "elem": x,
         "norm": x.norm(),
     }
     if order.is_imaginary and not (x.is_zero() or x.is_unit()):
-        payload["canonical"] = str(canonical_associate(x))
+        payload["canonical"] = canonical_associate(x)
         payload["irreducible"] = is_irreducible(x)
     return payload, EXIT_OK
 
 
 def _cmd_normset(args):
-    cfg = _config(args)
-    order = order_of(cfg.d, cfg.n)
+    order = order_of(args.d, args.n)
     ns = normset_of(order)
     if args.normset_op == "member":
-        v = ns.contains(args.value, cfg.bound)
-        payload = {"command": "normset member", "order": str(order),
+        v = ns.contains(args.value, args.bound)
+        payload = {"command": "normset member", "order": order,
                    "value": args.value, **v.to_record()}
         return payload, EXIT_UNKNOWN if v.answer == "unknown" else EXIT_OK
     if args.normset_op == "atoms":
-        atoms = irreducibles_up_to(ns, cfg.bound)
-        return {"command": "normset atoms", "order": str(order),
-                "bound": cfg.bound, "atoms": atoms}, EXIT_OK
+        atoms = irreducibles_up_to(ns, args.bound)
+        return {"command": "normset atoms", "order": order,
+                "bound": args.bound, "atoms": atoms}, EXIT_OK
     # factor
     try:
         facts = factor_in_normset(ns, args.value)
     except NotMember:
-        return {"command": "normset factor", "order": str(order),
+        return {"command": "normset factor", "order": order,
                 "value": args.value, "member": False}, EXIT_OK
     flists = sorted([list(f) for f in facts], key=lambda f: (len(f), f))
     return {
         "command": "normset factor",
-        "order": str(order),
+        "order": order,
         "value": args.value,
         "member": True,
         "factorizations": flists,
@@ -187,51 +144,47 @@ def _cmd_normset(args):
 
 
 def _cmd_ufd(args):
-    cfg = _config(args)
-    order = order_of(cfg.d, cfg.n)
+    order = order_of(args.d, args.n)
     cert = is_ufd(order)
     rows = [{"p": r.p, "f": r.f_p, "target": r.target, "member": r.member,
-             "witness": None if r.witness is None else str(r.witness)}
+             "witness": r.witness}
             for r in cert.rows]
     return {
         "command": "ufd",
-        "order": str(order),
+        "order": order,
         "verdict": cert.value,
-        "P": list(cert.criterion_primes),
+        "P": cert.criterion_primes,
         "minkowski": cert.minkowski,
         "rows": rows,
     }, EXIT_OK
 
 
 def _cmd_saturation(args):
-    cfg = _config(args)
-    order = order_of(cfg.d, cfg.n)
-    strict = is_strictly_saturated_window(order, cfg.bound)
+    order = order_of(args.d, args.n)
+    strict = is_strictly_saturated_window(order, args.bound)
     return {
         "command": "saturation",
-        "order": str(order),
+        "order": order,
         "saturated": is_saturated(order),
         "strict_window": strict.to_record(),
     }, EXIT_OK
 
 
 def _cmd_hfd(args):
-    cfg = _config(args)
-    if cfg.n == 1:
-        hv = carlitz_verdict(order_of(cfg.d))
+    if args.n == 1:
+        hv = carlitz_verdict(order_of(args.d))
     else:
-        hv = order_hfd_witness(cfg.d, cfg.n)
+        hv = order_hfd_witness(args.d, args.n)
     payload = {
         "command": "hfd",
-        "order": str(hv.order),
+        "order": hv.order,
         "verdict": hv.verdict,
         "method": hv.method,
-        "element": None if hv.element is None else str(hv.element),
+        "element": hv.element,
     }
     if hv.witness is not None:
         short, long_ = hv.witness
-        payload["witness"] = {"short": [str(a) for a in short],
-                              "long": [str(a) for a in long_]}
+        payload["witness"] = {"short": short, "long": long_}
     return payload, EXIT_OK
 
 
@@ -251,15 +204,14 @@ def _cmd_classify_hfd(args):
 
 
 def _cmd_elasticity(args):
-    cfg = _config(args)
-    order = order_of(cfg.d, cfg.n)
+    order = order_of(args.d, args.n)
     view = normset_monoid_view(normset_of(order))
-    rho = elasticity_window(view, cfg.bound)
+    rho = elasticity_window(view, args.bound)
     payload = {
         "command": "elasticity",
-        "order": str(order),
-        "bound": cfg.bound,
-        "normset_elasticity": Fraction(rho),
+        "order": order,
+        "bound": args.bound,
+        "normset_elasticity": rho,
         "witness": rho.witness,
     }
     if order.is_imaginary and order.is_maximal:
@@ -272,9 +224,9 @@ def _cmd_davenport(args):
     D, witness = davenport_witness(g)
     return {
         "command": "davenport",
-        "group": str(g),
+        "group": g,
         "davenport": D,
-        "witness": [list(e) for e in witness],
+        "witness": witness,
     }, EXIT_OK
 
 
@@ -296,38 +248,33 @@ def _valnet_gens(m: vn.NetMonoid, text: str) -> list[vn.ValNet]:
 
 
 def _cmd_valnet(args):
-    cfg = _config(args)
     m = vn.load_net_monoid(args.file)
     toks = list(args.query)
     op = toks.pop(0).lower()
-    depth = cfg.depth
-    base = {"command": "valnet", "monoid": str(m), "query": op}
+    depth = args.depth
+    base = {"command": "valnet", "monoid": m, "query": op}
 
-    def one_net() -> vn.ValNet:
+    def take(what: str) -> str:
         if not toks:
-            raise UsageError(f"valnet {op} needs a net argument")
-        return vn.parse_net(m, toks.pop(0))
+            raise UsageError(f"valnet {op} needs {what}")
+        return toks.pop(0)
 
     if op == "atoms":
         if m.kind == "generated":
-            return {**base, "atoms": [str(g) for g in m.atoms]}, EXIT_OK
+            return {**base, "atoms": m.atoms}, EXIT_OK
         return {**base, "atoms": "e_n for every index n >= 1"}, EXIT_OK
     if op == "idempotent":
         return {**base, "covered": vn.idempotent_cover_check(m)}, EXIT_OK
     if op == "ideal-norm":
-        if not toks:
-            raise UsageError("valnet ideal-norm needs a ;-separated generator list")
-        norm = vn.ideal_norm(m, _valnet_gens(m, toks.pop(0)))
-        return {**base, "norm": {str(k): str(v) for k, v in norm.items()}}, EXIT_OK
+        gens = _valnet_gens(m, take("a ;-separated generator list"))
+        return {**base, "norm": vn.ideal_norm(m, gens)}, EXIT_OK
     if op == "product":
-        if len(toks) < 2:
-            raise UsageError("valnet product needs two generator lists")
-        ok = vn.ideal_norm_product_check(m, _valnet_gens(m, toks.pop(0)),
-                                         _valnet_gens(m, toks.pop(0)))
+        gi, gj = take("two generator lists"), take("two generator lists")
+        ok = vn.ideal_norm_product_check(m, _valnet_gens(m, gi), _valnet_gens(m, gj))
         return {**base, "additive": ok}, EXIT_OK
 
-    b = one_net()
-    base["net"] = str(b)
+    b = vn.parse_net(m, take("a net argument"))
+    base["net"] = b
     if op == "member":
         return {**base, "member": m.contains(b)}, EXIT_OK
     if op == "length":
@@ -341,31 +288,22 @@ def _cmd_valnet(args):
     if op == "factor":
         out = vn.find_atomic_factorization(m, b)
         payload = {**base, "status": out.status, "depth": depth,
-                   "factorization":
-                       None if out.value is None else [str(a) for a in out.value]}
+                   "factorization": out.value}
         return payload, EXIT_UNKNOWN if out.status == "none_within_depth" else EXIT_OK
     if op == "divisors":
         ds = vn.monoid_divisors(m, b, depth)
-        return {**base, "divisors": [str(d) for d in ds], "count": len(ds),
+        return {**base, "divisors": ds, "count": len(ds),
                 "exact": m.kind == "generated" or b.tail == 0 or not m.contains(b)}, EXIT_OK
     if op == "accp":
-        if not toks:
-            raise UsageError("valnet accp needs a chain length")
-        k = int(toks.pop(0))
+        k = int(take("a chain length"))
         chain = vn.accp_chain(m, b, k)
-        return {**base, "k": k, "found": chain is not None,
-                "chain": None if chain is None else [str(c) for c in chain]}, EXIT_OK
+        return {**base, "k": k, "found": chain is not None, "chain": chain}, EXIT_OK
     if op == "comax":
-        if not toks:
-            raise UsageError("valnet comax needs a family size")
-        k = int(toks.pop(0))
+        k = int(take("a family size"))
         fam = vn.comaximal_family(m, b, k)
-        return {**base, "k": k, "found": fam is not None,
-                "family": None if fam is None else [str(x) for x in fam]}, EXIT_OK
+        return {**base, "k": k, "found": fam is not None, "family": fam}, EXIT_OK
     if op == "cover":
-        if not toks:
-            raise UsageError("valnet cover needs a comma-separated index list")
-        idxs = _valnet_indices(m, toks.pop(0))
+        idxs = _valnet_indices(m, take("a comma-separated index list"))
         return {**base, "indices": [str(i) for i in idxs],
                 "covered": vn.finite_cover_check(m, b, idxs)}, EXIT_OK
     raise UsageError(f"unknown valnet query {op!r}")
@@ -380,20 +318,37 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(low: int, note: str = ""):
+    """An argparse type: an integer >= low. Every range rule of a flag is
+    stated here, once; argparse reports a failure as a usage error.
+    """
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}{note}")
+    return parse
+
+
 def _add_common(p, *, d=False, n=False, bound=False, value=False, depth=False):
     if d:
         p.add_argument("--d", type=int, required=True,
                        help="squarefree integer defining Q(sqrt(d))")
     if n:
-        p.add_argument("--n", type=int, default=1, help="conductor (default 1)")
+        p.add_argument("--n", type=_at_least(1), default=1, help="conductor (default 1)")
     if bound:
-        p.add_argument("--bound", type=int, default=_default_bound(),
+        # a string default passes through the type too, so a bad variable
+        # fails only the subcommands that read it
+        p.add_argument("--bound", type=_at_least(4, " (from --bound, else NORMSET_LAB_BOUND)"),
+                       default=os.environ.get("NORMSET_LAB_BOUND", "500"),
                        help="window bound (default 500 or NORMSET_LAB_BOUND)")
     if value:
         p.add_argument("--value", type=int, required=True,
                        help="integer queried against the normset")
     if depth:
-        p.add_argument("--depth", type=int, default=32,
+        p.add_argument("--depth", type=_at_least(1), default=32,
                        help="index window for the infinite divisor lists of "
                             "positive-tail sequence nets (divisors, sb); every "
                             "other valnet answer is exact at any depth")
@@ -486,16 +441,12 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    fmt = getattr(args, "format", "text")
     try:
         payload, code = args.handler(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except BadDiscriminant as e:
         print(f"usage error: --d/--n invalid: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, ValueError) as e:
+    except (UsageError, FileNotFoundError, ValueError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (NeedsBound, WitnessSearchExhausted, SearchBudgetExceeded,
@@ -506,9 +457,9 @@ def main(argv=None) -> int:
         bound = getattr(args, "bound", None)
         if bound is not None:
             record["bound_used"] = bound
-        _emit(fmt, record)
+        _emit(args.format, record)
         return EXIT_UNKNOWN
-    _emit(fmt, payload)
+    _emit(args.format, payload)
     return code
 
 

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable
 
 from .arith import factorize
 from .errors import CapExceeded, SearchBudgetExceeded
@@ -288,8 +288,6 @@ class MonoidView:
       member the view measures as <= B, in its window order; window scans
       stop at their first witness, so that order decides which witness
       they report.
-    - `divides_hint(q, a, b)`, when given, is a cheap filter: False means q
-      certainly does not divide op(a, b).
     """
 
     name: str
@@ -298,7 +296,6 @@ class MonoidView:
     proper_divisors: Callable[[Any], Iterable[tuple]]
     key: Callable[[Any], Any]
     elements_up_to: Callable[[int], Iterable]
-    divides_hint: Optional[Callable[[Any, Any, Any], bool]] = None
 
 
 class FactorSession:
@@ -306,8 +303,11 @@ class FactorSession:
 
     Results are exact for every queried element (completeness is inherited
     from the view's proper_divisors); the session is only a cache plus a
-    work budget, not a window. It lists each element's divisors once, for
-    both the atom verdict and the search.
+    work budget, not a window. `is_atom` on an undecided element reads the
+    view's divisor pairs only up to the first one. `factorizations` lists
+    the pairs in full, and that one list gives both the atom verdict and the
+    search; an element already found a non-atom by `is_atom` is listed again
+    there, in full.
     """
 
     def __init__(self, view: MonoidView, budget: int = 10_000_000):
@@ -454,7 +454,6 @@ def is_ufm_window(view: MonoidView, bound: int, session: FactorSession | None = 
         if len(facts) > 1:
             return WindowVerdict(False, bound, ("non_unique", x, facts[0], facts[1]))
     atoms = [x for x in members if session.is_atom(x)]
-    hint = view.divides_hint
     div_memo: dict[tuple, bool] = {}
 
     def divides(q, a):
@@ -469,8 +468,6 @@ def is_ufm_window(view: MonoidView, bound: int, session: FactorSession | None = 
         clear = [a for a in members if not divides(q, a)]
         for i, a in enumerate(clear):
             for b in clear[i:]:
-                if hint is not None and not hint(q, a, b):
-                    continue
                 if view.divide(q, view.op(a, b)) is not None:
                     return WindowVerdict(False, bound, ("non_prime_atom", q, a, b))
     return WindowVerdict(True, bound)

@@ -378,7 +378,6 @@ def normset_monoid_view(ns: NormsetHandle) -> MonoidView:
         proper_divisors=proper_divisors,
         key=lambda m: (abs(m), m < 0),
         elements_up_to=elements_up_to,
-        divides_hint=lambda q, a, b: (a * b) % q == 0,
     )
 
 

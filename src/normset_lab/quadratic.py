@@ -44,10 +44,6 @@ from .arith import divisors, is_squarefree
 from .errors import BadDiscriminant, NeedsBound
 from .monoid_core import FactorMultiset, FactorSession, MonoidView
 
-SQRT_KIND = "sqrt_d"
-HALF_KIND = "half_one_plus_sqrt_d"
-
-
 @dataclass(frozen=True)
 class QuadraticField:
     d: int
@@ -80,10 +76,6 @@ class QuadraticOrder:
         return self.field.d
 
     @property
-    def xi_kind(self) -> str:
-        return HALF_KIND if self.d % 4 == 1 else SQRT_KIND
-
-    @property
     def discriminant(self) -> int:
         return self.n * self.n * self.field.field_discriminant
 
@@ -108,7 +100,7 @@ class QuadraticOrder:
     @property
     def w_description(self) -> str:
         d, n = self.d, self.n
-        if self.xi_kind == SQRT_KIND:
+        if self.p == 0:
             return f"sqrt({d})" if n == 1 else f"{n}*sqrt({d})"
         inner = f"(1+sqrt({d}))/2"
         return inner if n == 1 else f"{n}*{inner}"
@@ -378,16 +370,15 @@ def exact_real_search_bound(order: QuadraticOrder, m: int) -> int:
     headroom.
     """
     u = norm_plus_unit(order)
-    d, n = order.d, order.n
-    sq = isqrt(d) + 1  # integer majorant of sqrt(d)
-    if order.xi_kind == SQRT_KIND:
+    n = order.n
+    sq = isqrt(order.d) + 1  # integer majorant of sqrt(d)
+    if order.p == 0:
         u_plus = u.a + abs(u.b) * n * sq + 1  # >= u + 1
-        den = 4 * n * n * d  # emb - conj = 2 b n sqrt(d)
     else:
         u_plus = (abs(2 * u.a + u.b * n) + abs(u.b) * n * sq) // 2 + 2
-        den = n * n * d  # emb - conj = b n sqrt(d)
+    # emb - conj = b*sqrt(D), so b^2 * D <= |m| * (u + 1)^2
     num = abs(m) * u_plus * u_plus
-    return isqrt(num // den + 1) + 2
+    return isqrt(num // order.discriminant + 1) + 2
 
 
 def _sol_key(x) -> tuple:

@@ -238,6 +238,11 @@ def test_usage_errors(capsys):
     assert code == 1  # --value required
     code, _, err = run(capsys, "norm", "--d", "34", "--elem", "junk")
     assert code == 1
+    for argv in (("classgroup", "--d", "5", "--n", "0"),
+                 ("normset", "atoms", "--d", "5", "--bound", "3"),
+                 ("valnet", str(GOLDEN_CLI / "m2.net"), "atoms", "--depth", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "usage error:" in err, argv
 
 
 def test_bound_validation(capsys):
@@ -253,6 +258,23 @@ def test_env_bound_override(capsys, monkeypatch):
     monkeypatch.setenv("NORMSET_LAB_BOUND", "abc")
     code, _, err = run(capsys, "normset", "atoms", "--d", "-1")
     assert code == 1 and "usage error:" in err
+    # the variable has the range of --bound
+    monkeypatch.setenv("NORMSET_LAB_BOUND", "2")
+    code, out, err = run(capsys, "normset", "atoms", "--d", "5")
+    assert code == 1 and out == "" and "usage error:" in err
+
+
+def test_bad_env_bound_fails_only_commands_that_take_bound(capsys, monkeypatch):
+    monkeypatch.setenv("NORMSET_LAB_BOUND", "abc")
+    for argv in (("classgroup", "--d", "5"), ("davenport", "--group", "3,3")):
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv
+    code, out, err = run(capsys, "normset", "atoms", "--d", "5")
+    assert code == 1 and out == ""
+    assert "usage error:" in err and "NORMSET_LAB_BOUND" in err
+    # an explicit --bound wins over the variable
+    code, rec, _ = run_json(capsys, "normset", "atoms", "--d", "5", "--bound", "20")
+    assert code == 0 and rec["bound"] == 20
 
 
 def test_entry_raises_systemexit(capsys, monkeypatch):

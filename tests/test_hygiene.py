@@ -1,0 +1,59 @@
+"""Source hygiene: every name a module of normset_lab imports is used there.
+
+A stdlib-only static check over the package sources. The package's
+__init__ is exempt, since its imports are its public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "normset_lab"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds, with the line that binds it."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, quoted annotations included."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    annotations = [getattr(n, attr) for n in ast.walk(tree)
+                   for attr in ("annotation", "returns") if getattr(n, attr, None)]
+    for ann in annotations:
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return used
+
+
+def test_every_module_is_checked():
+    assert {p.stem for p in MODULES} >= {"arith", "cli", "monoid_core", "quadratic"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    unused = {name: line for name, line in _imported_names(tree).items()
+              if name not in used}
+    assert not unused, f"{path.name}: imported but unused {unused}"
+
+
+def test_check_sees_an_unused_import():
+    tree = ast.parse("from typing import Any, Optional\nimport os.path\n"
+                     "from .quadratic import QuadElem\n"
+                     "def f(x: 'QuadElem') -> Any:\n    return 'Optional'\n")
+    assert set(_imported_names(tree)) - _used_names(tree) == {"Optional", "os"}

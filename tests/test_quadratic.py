@@ -5,7 +5,7 @@ from math import isqrt
 
 from normset_lab.arith import divisors, is_square, is_squarefree
 from normset_lab.errors import BadDiscriminant, NeedsBound
-from normset_lab.quadratic import (HALF_KIND, QuadElem, _element_kernel, _sol_key,
+from normset_lab.quadratic import (QuadElem, _element_kernel, _sol_key,
                                    canonical_associate, divide_exact,
                                    element_monoid_view,
                                    elements_of_norm, exact_real_search_bound,
@@ -207,21 +207,21 @@ def _kind_mul(x, y):
     """x*y as (a, b) from w^2 = d*n^2 (sqrt kind) or w^2 = n*w + n^2*(d-1)/4."""
     d, n = x.order.d, x.order.n
     a, b, c, e = x.a, x.b, y.a, y.b
-    if x.order.xi_kind == HALF_KIND:
+    if x.order.d % 4 == 1:
         t = n * n * (d - 1) // 4
         return a * c + t * b * e, a * e + b * c + n * b * e
     return a * c + d * n * n * b * e, a * e + b * c
 
 
 def _kind_conj(x):
-    if x.order.xi_kind == HALF_KIND:
+    if x.order.d % 4 == 1:
         return x.a + x.order.n * x.b, -x.b
     return x.a, -x.b
 
 
 def _kind_norm(x):
     d, n, a, b = x.order.d, x.order.n, x.a, x.b
-    if x.order.xi_kind == HALF_KIND:
+    if x.order.d % 4 == 1:
         return a * a + n * a * b + n * n * b * b * (1 - d) // 4
     return a * a - d * n * n * b * b
 
@@ -240,7 +240,7 @@ def _sign_raw(p, q, d):
 def _emb_coords(x):
     """(p, q) with 2*emb(x) = p + q*sqrt(d) under the real embedding."""
     n = x.order.n
-    if x.order.xi_kind == HALF_KIND:
+    if x.order.d % 4 == 1:
         return 2 * x.a + x.b * n, x.b * n
     return 2 * x.a, 2 * x.b * n
 
@@ -359,7 +359,7 @@ def _canonicalizing_scan(order, m, bound):
     """
     d, n = order.d, order.n
     seen = {}
-    half = order.xi_kind == HALF_KIND
+    half = order.d % 4 == 1
     for b in range(-bound, bound + 1):
         t2 = (4 * m if half else m) + d * n * n * b * b
         if not is_square(t2):
@@ -398,9 +398,9 @@ def test_real_norm_table_matches_canonicalizing_scan(d, n):
 
 
 def test_real_table_orders_cover_kinds_and_unit_signs():
-    seen = {(order_of(d, n).xi_kind, n, order_fundamental_unit(order_of(d, n))[1])
+    seen = {(d % 4 == 1, n, order_fundamental_unit(order_of(d, n))[1])
             for d, n in REAL_TABLE_ORDERS}
-    assert {(k, n) for k, n, _ in seen} == {(k, n) for k in (HALF_KIND, "sqrt_d")
+    assert {(k, n) for k, n, _ in seen} == {(k, n) for k in (True, False)
                                             for n in (1, 2, 3)}
     assert {s for _, _, s in seen} == {1, -1}
 
@@ -673,7 +673,7 @@ def _scanned_window(order, bound):
     found = {}
     d, n = order.d, order.n
     dd = -d
-    if order.xi_kind == HALF_KIND:
+    if order.d % 4 == 1:
         bmax = isqrt(4 * bound // (dd * n * n)) + 1
         reach = lambda b: isqrt(bound) + n * b + 2
     else:
