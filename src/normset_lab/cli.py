@@ -259,6 +259,12 @@ def _cmd_valnet(args):
             raise UsageError(f"valnet {op} needs {what}")
         return toks.pop(0)
 
+    def take_count(what: str) -> int:
+        try:
+            return _at_least(1)(take(what))
+        except argparse.ArgumentTypeError as e:
+            raise UsageError(f"valnet {op}: {what} {e}") from None
+
     if op == "atoms":
         if m.kind == "generated":
             return {**base, "atoms": m.atoms}, EXIT_OK
@@ -295,11 +301,11 @@ def _cmd_valnet(args):
         return {**base, "divisors": ds, "count": len(ds),
                 "exact": m.kind == "generated" or b.tail == 0 or not m.contains(b)}, EXIT_OK
     if op == "accp":
-        k = int(take("a chain length"))
+        k = take_count("a chain length")
         chain = vn.accp_chain(m, b, k)
         return {**base, "k": k, "found": chain is not None, "chain": chain}, EXIT_OK
     if op == "comax":
-        k = int(take("a family size"))
+        k = take_count("a family size")
         fam = vn.comaximal_family(m, b, k)
         return {**base, "k": k, "found": fam is not None, "family": fam}, EXIT_OK
     if op == "cover":

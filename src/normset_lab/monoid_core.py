@@ -274,7 +274,8 @@ class FactorMultiset:
 class MonoidView:
     """Adapter interface a concrete monoid provides to the generic machinery.
 
-    Elements are canonical representatives, one per associate class.
+    Elements are hashable canonical representatives, one per associate
+    class; sessions memoize on them.
     - `name` labels the monoid in messages.
     - `op(a, b)` is the canonical representative of the product.
     - `divide(d, x)` returns the canonical cofactor when d | x and None
@@ -303,11 +304,15 @@ class FactorSession:
 
     Results are exact for every queried element (completeness is inherited
     from the view's proper_divisors); the session is only a cache plus a
-    work budget, not a window. `is_atom` on an undecided element reads the
-    view's divisor pairs only up to the first one. `factorizations` lists
-    the pairs in full, and that one list gives both the atom verdict and the
-    search; an element already found a non-atom by `is_atom` is listed again
-    there, in full.
+    work budget, not a window. Memos are keyed on the canonical elements
+    themselves; the view's key only orders factorizations.
+
+    Each element's divisor pairs are walked once. `is_atom` on an undecided
+    element pulls the first pair only and keeps the live walk; the first
+    call to `factorizations` or `lengths` resumes it and stores the pairs
+    (atom d, cofactor), one per distinct d, for both to read. The budget
+    charges one unit per undecided atom verdict and one per pair listed,
+    each pair once.
     """
 
     def __init__(self, view: MonoidView, budget: int = 10_000_000):
@@ -315,7 +320,10 @@ class FactorSession:
         self.budget = budget
         self.spent = 0
         self._atom: dict = {}
+        self._walks: dict = {}
+        self._pairs: dict = {}
         self._facts: dict = {}
+        self._lengths: dict = {}
 
     def _charge(self, n: int = 1):
         self.spent += n
@@ -326,42 +334,63 @@ class FactorSession:
             )
 
     def is_atom(self, x) -> bool:
-        k = self.view.key(x)
-        hit = self._atom.get(k)
+        hit = self._atom.get(x)
         if hit is None:
             self._charge()
-            hit = self._atom[k] = next(iter(self.view.proper_divisors(x)), None) is None
+            walk = iter(self.view.proper_divisors(x))
+            first = next(walk, None)
+            hit = self._atom[x] = first is None
+            if not hit:
+                self._walks[x] = itertools.chain((first,), walk)
+        return hit
+
+    def _atom_pairs(self, x) -> dict:
+        """{atom d: cofactor} over x's divisor pairs; empty for an atom."""
+        hit = self._pairs.get(x)
+        if hit is None:
+            hit = {}
+            if not self.is_atom(x):
+                # a walk that the budget cut short starts over
+                for d, q in self._walks.pop(x, None) or self.view.proper_divisors(x):
+                    self._charge()
+                    if d not in hit and self.is_atom(d):
+                        hit[d] = q
+            self._pairs[x] = hit
         return hit
 
     def factorizations(self, x) -> tuple[FactorMultiset, ...]:
-        """All factorizations of x into atoms; empty tuple means x admits none."""
-        kx = self.view.key(x)
-        hit = self._facts.get(kx)
-        if hit is not None:
-            return hit
-        # an undecided atom verdict is charged once, as in is_atom
-        if kx not in self._atom:
-            self._charge()
-        pairs = [] if self._atom.get(kx) else list(self.view.proper_divisors(x))
-        if self._atom.setdefault(kx, not pairs):
-            res = self._facts[kx] = (FactorMultiset((x,)),)
-            return res
-        atom_pairs = {}
-        for d, q in pairs:
-            self._charge()
-            kd = self.view.key(d)
-            if kd not in atom_pairs and self.is_atom(d):
-                atom_pairs[kd] = (d, q)
-        acc: dict[tuple, FactorMultiset] = {}
-        for kd, (d, q) in sorted(atom_pairs.items()):
-            for rest in self.factorizations(q):
-                # each multiset is found once, at its key-minimal atom
-                if self.view.key(rest.atoms[0]) < kd:
-                    continue
-                atoms = (d,) + rest.atoms
-                acc.setdefault(tuple(self.view.key(a) for a in atoms), FactorMultiset(atoms))
-        res = self._facts[kx] = tuple(acc[k] for k in sorted(acc))
-        return res
+        """All factorizations of x into atoms, sorted by their atoms' keys;
+        empty tuple means x admits none."""
+        hit = self._facts.get(x)
+        if hit is None:
+            pairs = self._atom_pairs(x)
+            if self._atom[x]:
+                hit = (FactorMultiset((x,)),)
+            else:
+                # each multiset is found once, at its key-minimal atom, and
+                # taking d in key order lists the multisets in key order
+                key, out = self.view.key, []
+                for d, q in sorted(pairs.items(), key=lambda p: key(p[0])):
+                    kd = key(d)
+                    out.extend(FactorMultiset((d,) + rest.atoms)
+                               for rest in self.factorizations(q) if key(rest.atoms[0]) >= kd)
+                hit = tuple(out)
+            self._facts[x] = hit
+        return hit
+
+    def lengths(self, x) -> frozenset:
+        """The length set of x: {1} for an atom, else {1 + n : (d, q) an
+        atom pair of x, n in lengths(q)}; empty when x admits no
+        factorization."""
+        hit = self._lengths.get(x)
+        if hit is None:
+            pairs = self._atom_pairs(x)
+            if self._atom[x]:
+                hit = frozenset((1,))
+            else:
+                hit = frozenset(n + 1 for q in pairs.values() for n in self.lengths(q))
+            self._lengths[x] = hit
+        return hit
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +438,13 @@ def _window_members(view: MonoidView, bound: int) -> list:
 
 def is_hfm_window(view: MonoidView, bound: int, session: FactorSession | None = None) -> WindowVerdict:
     """Half-factorial over the window: every member of size <= bound has all
-    its factorizations of one length.
+    its factorizations of one length. Reads length sets; only a witness
+    element has its factorizations listed.
     """
     session = session or FactorSession(view)
     for x in view.elements_up_to(bound):
-        facts = session.factorizations(x)
-        lengths = sorted({f.length for f in facts})
-        if len(lengths) > 1:
+        if len(session.lengths(x)) > 1:
+            facts = session.factorizations(x)
             short = min(facts, key=lambda f: f.length)
             long = max(facts, key=lambda f: f.length)
             return WindowVerdict(False, bound, (x, short, long))
@@ -481,10 +510,9 @@ def elasticity_window(view: MonoidView, bound: int, session: FactorSession | Non
     best = Fraction(1)
     witness = None
     for x in _window_members(view, bound):
-        facts = session.factorizations(x)
-        if not facts:
+        lengths = session.lengths(x)
+        if not lengths:
             continue
-        lengths = [f.length for f in facts]
         rho = Fraction(max(lengths), min(lengths))
         if rho > best:
             best, witness = rho, x

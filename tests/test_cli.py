@@ -410,6 +410,14 @@ def test_valnet_usage_errors(capsys, seq_file):
     assert code == 1
 
 
+@pytest.mark.parametrize("query", ["accp", "comax"])
+@pytest.mark.parametrize("k", ["0", "-2", "x"])
+def test_valnet_count_must_be_positive(capsys, query, k):
+    code, out, err = run(capsys, "valnet", str(GOLDEN_CLI / "m2.net"), query, "M1:4,M2:4", k)
+    assert code == 1 and out == ""
+    assert f"usage error: valnet {query}: " in err and f"must be an integer >= 1, got '{k}'" in err
+
+
 # ---------------------------------------------------------------------------
 # golden records: stdout and exit code, byte for byte
 

@@ -15,7 +15,8 @@ from normset_lab.monoid_core import (AbelianGroup, FactorMultiset, FactorSession
                                      is_hfm_window, is_length_factorial_window,
                                      is_ufm_window, numerical_monoid_view)
 from normset_lab.normsets import normset_monoid_view, normset_of
-from normset_lab.quadratic import _element_kernel, element_monoid_view, elements_of_norm, order_of
+from normset_lab.quadratic import (_element_kernel, element_monoid_view, elements_of_norm,
+                                   factor_element, order_of)
 from normset_lab.valnet_sim import _Table, finite_indices, generated_monoid, parse_net
 
 
@@ -295,14 +296,19 @@ def test_element_view_divide(d, n):
     _check_divide(view, list(view.elements_up_to(30)), lambda c: c.is_unit())
 
 
-def test_net_table_view_divide():
+def _net_table():
+    """A generated net monoid's table view and its nonzero members."""
     labels = finite_indices("P", "Q:dense")
     m = generated_monoid(labels, [parse_net(labels, text) for text in (
         "P:2", "Q:1/2", "P:1,Q:1", "P:3,Q:3/2")])
     t = _Table(m, parse_net(labels, "P:6,Q:4"))
-    members = sorted(v for v in t.members if any(v))
+    return t.view(), sorted(v for v in t.members if any(v))
+
+
+def test_net_table_view_divide():
+    view, members = _net_table()
     assert len(members) > 30
-    _check_divide(t.view(), members, lambda c: not any(c))
+    _check_divide(view, members, lambda c: not any(c))
 
 
 @settings(max_examples=60)
@@ -356,7 +362,9 @@ def _full_range_normset(view, ns):
 def _assert_same_sessions(a, b):
     assert a.spent == b.spent
     assert a._atom == b._atom
+    assert a._pairs == b._pairs
     assert a._facts == b._facts
+    assert a._lengths == b._lengths
 
 
 def test_session_accounting_matches_full_range_listing_on_kernel():
@@ -382,3 +390,103 @@ def test_session_accounting_matches_full_range_listing_on_normsets(d):
     rhos = [elasticity_window(s.view, 300, s) for s in sessions]
     assert rhos[0] == rhos[1] and rhos[0].witness == rhos[1].witness
     _assert_same_sessions(*sessions)
+
+
+# ---------------------------------------------------------------------------
+# length sets against factorization lists, and one divisor walk per element
+
+
+def _window(kind):
+    if kind[0] == "kernel":
+        _, d, n, bound = kind
+        view = _element_kernel(order_of(d, n))
+        return view, list(view.elements_up_to(bound))
+    if kind[0] == "normset":
+        view = normset_monoid_view(normset_of(order_of(kind[1])))
+        return view, list(view.elements_up_to(kind[2]))
+    if kind[0] == "numerical":
+        view = numerical_monoid_view(*kind[1])
+        return view, list(view.elements_up_to(80))
+    return _net_table()
+
+
+@pytest.mark.parametrize("kind", [
+    ("kernel", -3, 2, 200), ("kernel", -5, 1, 200), ("kernel", -14, 1, 100),
+    ("normset", -23, 2000), ("normset", -71, 2000), ("normset", -14, 2000),
+    ("normset", 79, 2000), ("numerical", (2, 3)), ("numerical", (3, 5, 7)), ("net",)],
+    ids=str)
+def test_lengths_match_factorization_lists(kind):
+    view, members = _window(kind)
+    assert members
+    session, lists = FactorSession(view), FactorSession(view)
+    for x in members:
+        assert session.lengths(x) == {f.length for f in lists.factorizations(x)}, x
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=2, max_value=12), min_size=1, max_size=4),
+       st.integers(min_value=1, max_value=60))
+def test_numerical_lengths_match_factorization_lists(gens, bound):
+    view = numerical_monoid_view(*gens)
+    session, lists = FactorSession(view), FactorSession(view)
+    for x in view.elements_up_to(bound):
+        ls = session.lengths(x)
+        assert isinstance(ls, frozenset) and ls
+        assert ls == {f.length for f in lists.factorizations(x)}
+
+
+def test_lengths_of_an_atom_and_a_non_atomic_element():
+    view, _ = _window(("numerical", (2, 3)))
+    session = FactorSession(view)
+    assert session.lengths(2) == {1} and session.lengths(6) == {2, 3}
+    # a view in which 4 = 4 * 4 never reaches an atom: 16 admits no factorization
+    lonely = replace(view, proper_divisors=lambda x: iter([(4, 4)] if x in (4, 16) else []))
+    assert FactorSession(lonely).lengths(16) == frozenset()
+    assert FactorSession(lonely).factorizations(16) == ()
+
+
+def _counted(view):
+    starts = {}
+
+    def proper_divisors(x):
+        starts[x] = starts.get(x, 0) + 1
+        return view.proper_divisors(x)
+    return replace(view, proper_divisors=proper_divisors), starts
+
+
+def test_each_element_is_walked_once_per_session():
+    order = order_of(-3, 2)
+    view, starts = _counted(_element_kernel(order))
+    session = FactorSession(view)
+    assert is_hfm_window(view, 200, session).holds
+    spent = session.spent
+    # two elements in the window, three beyond it
+    for a, b in ((36, 0), (12, 6), (210, 0), (23, 9), (-40, 17)):
+        facts = factor_element(order, order.element(a, b), session)
+        assert facts and all(session.is_atom((x.a, x.b)) for f in facts for x in f)
+    assert starts and max(starts.values()) == 1
+    assert session.spent > spent
+    # an element that is_atom found splitting resumes its walk when listed
+    fresh, starts = _counted(_element_kernel(order))
+    session = FactorSession(fresh)
+    assert not session.is_atom((36, 0))
+    assert session.lengths((36, 0)) and session.factorizations((36, 0))
+    assert starts[(36, 0)] == 1 and max(starts.values()) == 1
+
+
+def test_budget_pins_on_the_exception_order():
+    view = _element_kernel(order_of(-3, 2))
+    session = FactorSession(view)
+    assert is_hfm_window(view, 400, session).holds and session.spent == 21312
+    with pytest.raises(SearchBudgetExceeded):
+        is_hfm_window(view, 200, FactorSession(view, budget=7757))
+    session = FactorSession(view, budget=7758)
+    assert is_hfm_window(view, 200, session).holds and session.spent == 7758
+
+
+def test_a_walk_cut_by_the_budget_raises_again_on_retry():
+    session = FactorSession(numerical_monoid_view(2, 3), budget=3)
+    for _ in range(2):
+        with pytest.raises(SearchBudgetExceeded):
+            session.factorizations(12)
+    assert not session._atom[12] and 12 not in session._pairs
