@@ -298,8 +298,8 @@ def _cmd_valnet(args):
         return payload, EXIT_UNKNOWN if out.status == "none_within_depth" else EXIT_OK
     if op == "divisors":
         ds = vn.monoid_divisors(m, b, depth)
-        return {**base, "divisors": ds, "count": len(ds),
-                "exact": m.kind == "generated" or b.tail == 0 or not m.contains(b)}, EXIT_OK
+        ffd = vn.ffd_window(m, b, depth)
+        return {**base, "divisors": ds, "count": ffd.count, "exact": ffd.exact}, EXIT_OK
     if op == "accp":
         k = take_count("a chain length")
         chain = vn.accp_chain(m, b, k)

@@ -18,11 +18,14 @@ Nets are canonical: the support stores only deviations from the tail, so
 equality of nets is equality of functions. A net of a generated monoid has
 finitely many members below it, so every query there is exact (or raises
 CapExceeded past a million members). Those members make one table per
-(monoid, net); the last table built is kept, so the next query on the same
-net reuses it and at most one table stays in memory between calls. Only the
-infinite divisor lists of positive-tail sequence nets are cut at a depth. A
-sequence net whose value at infinity is off its tail is no member and has
-no divisors: its divisor list is empty and its S_b is the empty set.
+(monoid, net), walked as packed ints: one field per coordinate with a guard
+bit on top, so a sum and its bound test are an addition, a subtraction and a
+mask; the members are decoded into int tuples once. The last table built is
+kept, so the next query on the same net reuses it and at most one table
+stays in memory between calls. Only the infinite divisor lists of
+positive-tail sequence nets are cut at a depth. A sequence net whose value
+at infinity is off its tail is no member and has no divisors: its divisor
+list is empty and its S_b is the empty set.
 
 Ideal norms carry an attainment flag: (gamma, attained=False) encodes the
 value gamma + epsilon of an infimum that no element reaches. Epsilons
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import compress, islice
-from math import ceil, floor, inf, lcm, prod
+from math import ceil, inf, lcm, prod
 from operator import add, le, sub
 from typing import Any, Iterable
 
@@ -335,12 +338,21 @@ class _Table:
     point, the support indices of b and the atoms, one index past them all
     (the tail) and infinity. Each label is scaled by the lcm of the atom
     denominators there (1 at a discrete label), so a net becomes a
-    fixed-length int tuple and an atom
-    a tuple to add. Members are found layer by layer, layer k holding those
-    whose least atom count is k. Every atom is positive in some coordinate,
-    so the layers end by themselves; past _MEMBER_CAP members the table
-    raises CapExceeded. A member below any x <= b is below b, so one table
-    answers membership and divisibility for all x <= b.
+    fixed-length int tuple and an atom a tuple to add.
+
+    Members are found layer by layer, layer k holding those whose least
+    atom count is k, on packed ints: a tuple becomes one int of w-bit
+    fields, w one bit more than the largest coordinate of b needs, and
+    `guard` masks the top bit of every field. A member x and an atom g are
+    at most b, so x + g stays below 2**w in every field and carries into no
+    neighbour. With `ceiling` = b | guard, no field borrows in
+    ceiling - (x + g) either, so x + g is at most b exactly when that
+    difference keeps every guard bit. Atoms above b somewhere are left out.
+    Every atom is positive in some coordinate, so the layers end by
+    themselves; past _MEMBER_CAP members the table raises CapExceeded. The
+    members are decoded into int tuples once, and the packed ints dropped.
+    A member below any x <= b is below b, so one table answers membership
+    and divisibility for all x <= b.
     """
 
     def __init__(self, m: NetMonoid, b: ValNet):
@@ -352,20 +364,30 @@ class _Table:
             # so the first index beyond them all stands for the tail
             sup = sorted({i for x in (*m.atoms, b) for i in x.support_indices()})
             self.labels = (*sup, max(sup, default=0) + 1, INF_INDEX)
-        self.scale = tuple(lcm(*(Fraction(g.value_at(i)).denominator for g in m.atoms))
+        self.scale = tuple(lcm(*(g.value_at(i).denominator for g in m.atoms))
                            for i in self.labels)
-        top = tuple(floor(Fraction(b.value_at(i)) * s)
-                    for i, s in zip(self.labels, self.scale))
-        atoms = [self.vec(g) for g in m.atoms]
-        frontier = {(0,) * len(top)}
-        self.members = set(frontier)
+        top = tuple(v.numerator * s // v.denominator
+                    for v, s in zip(map(b.value_at, self.labels), self.scale))
+        w = max(top).bit_length() + 1
+        shifts = range(0, w * len(top), w)
+
+        def pack(v):
+            return sum(x << s for x, s in zip(v, shifts))
+
+        guard = pack((1 << (w - 1),) * len(top))
+        ceiling = pack(top) | guard
+        atoms = [pack(g) for g in map(self.vec, m.atoms) if all(map(le, g, top))]
+        frontier = {0}
+        members = {0}
         while frontier:
-            sums = (tuple(map(add, x, g)) for x in frontier for g in atoms)
-            frontier = {y for y in sums if all(map(le, y, top))} - self.members
-            self.members |= frontier
-            if len(self.members) > _MEMBER_CAP:
+            frontier = {y for x in frontier for g in atoms
+                        if (ceiling - (y := x + g)) & guard == guard} - members
+            members |= frontier
+            if len(members) > _MEMBER_CAP:
                 raise CapExceeded(f"more than {_MEMBER_CAP} members below {b}",
                                   cap=_MEMBER_CAP)
+        mask = (1 << w) - 1
+        self.members = {tuple([p >> s & mask for s in shifts]) for p in members}
         # d <= x implies sum(d) <= sum(x): divisors of x lie in a prefix
         self.order = sorted(self.members, key=sum)
         self.totals = [sum(d) for d in self.order]
@@ -373,8 +395,9 @@ class _Table:
     def vec(self, x: ValNet) -> tuple:
         """x as an int tuple. A value off the members' lattice reads -1, so
         such an x is no member and has no divisors."""
-        w = [Fraction(x.value_at(i)) * s for i, s in zip(self.labels, self.scale)]
-        return tuple(v.numerator if v.denominator == 1 else -1 for v in w)
+        w = [(v.numerator * s, v.denominator)
+             for v, s in zip(map(x.value_at, self.labels), self.scale)]
+        return tuple(n // d if n % d == 0 else -1 for n, d in w)
 
     def net(self, v) -> ValNet:
         vals = [(i, x // s if x % s == 0 else Fraction(x, s))
@@ -449,8 +472,7 @@ def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = 32) -> list[ValNet]:
         return [ValNet(m.index_set, sup) for _, sup in rows[1:]]
     # finite-support divisors over the next `depth` indices, of total mass
     # at most depth, then those that keep the tail
-    hi = max([*b.support_indices(), 0]) + depth
-    idxs = [i for i in range(1, hi + 1) if b.value_at(i) > 0]
+    idxs = _tail_window(b, depth)
 
     def below(pos, budget):
         """Supports of the finite nets under b at idxs[pos:], of mass <= budget."""
@@ -465,6 +487,13 @@ def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = 32) -> list[ValNet]:
     out = [ValNet(m.index_set, sup) for sup in islice(below(0, depth), 1, _DIVISOR_CAP + 1)]
     out += [b] + [net_sub(b, e_net(m.index_set, i)) for i in idxs]
     return sorted(set(out), key=_net_key)
+
+
+def _tail_window(b: ValNet, depth: int) -> list:
+    """The indices 1 .. max(support) + depth where b is positive: those the
+    depth-cut divisor list of a positive-tail sequence net reads."""
+    hi = max([*b.support_indices(), 0]) + depth
+    return [i for i in range(1, hi + 1) if b.value_at(i) > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +516,7 @@ def S_b(m: NetMonoid, b: ValNet, depth: int = 12) -> set:
         if b.tail == 0:
             top = length(b)
             return set(range(1, top + 1))
-        hi = max([*b.support_indices(), 0]) + depth
-        finite_top = sum(b.value_at(i) for i in range(1, hi + 1))
+        finite_top = sum(map(b.value_at, _tail_window(b, depth)))
         return set(range(1, finite_top + 1)) | {inf}
     t = _table(m, b)
     return {length(t.net(d)) for d in t.divisors(t.vec(b))}
@@ -741,7 +769,15 @@ def ffd_window(m: NetMonoid, b: ValNet, depth: int = 16) -> DivisorCount:
             return DivisorCount(0, True)
         if b.tail == 0:
             return DivisorCount(prod(v + 1 for _, v in b.support) - 1, True)
-        return DivisorCount(len(monoid_divisors(m, b, depth)), False)
+        # monoid_divisors' list, counted without building it: the nonzero
+        # finite nets below b over the window of mass <= depth (at most
+        # _DIVISOR_CAP of them), then b and each b - e_i
+        idxs = _tail_window(b, depth)
+        ways = [1] + [0] * depth  # ways[s]: finite nets of mass s so far
+        for i in idxs:
+            v = b.value_at(i)
+            ways = [sum(ways[max(0, s - v):s + 1]) for s in range(depth + 1)]
+        return DivisorCount(min(sum(ways) - 1, _DIVISOR_CAP) + 1 + len(idxs), False)
     t = _table(m, b)
     return DivisorCount(len(t.divisors(t.vec(b))), True)
 

@@ -525,7 +525,7 @@ def test_cli_output_matches_golden(capsys, name):
 
 
 def test_valnet_divisor_count_is_ffd_window(capsys):
-    # the CLI counts its one divisor list; ffd_window counts on its own
+    # the CLI prints ffd_window's count, which must be that of its list
     cmds = [c for c in GOLDEN_COMMANDS.values() if c.split()[2:3] == ["divisors"]]
     # positive tails in the sequence domain and in a generated monoid
     assert {c.split()[1] for c in cmds} == {"m2.net", "seq.net", "omega.net"}
@@ -537,6 +537,7 @@ def test_valnet_divisor_count_is_ffd_window(capsys):
         _, out, _ = run(capsys, *argv)
         rec = json.loads(out)
         assert (rec["count"], rec["exact"]) == (count.count, count.exact), cmd
+        assert len(rec["divisors"]) == rec["count"], cmd
 
 
 @pytest.mark.parametrize("net", ["1:2,inf:1", "1:2,tail:1,inf:2"])

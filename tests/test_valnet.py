@@ -701,6 +701,22 @@ def test_ffd_window():
     assert "depth" in str(DivisorCount(4, False))
 
 
+@settings(max_examples=100, deadline=None)
+@given(b=omega_nets(), depth=st.integers(1, 4))
+@example(b=W1, depth=4)
+def test_ffd_window_counts_the_divisor_list(b, depth):
+    # a positive tail's count comes without listing; it must match the list
+    assert ffd_window(SEQ, b, depth).count == len(monoid_divisors(SEQ, b, depth))
+
+
+def test_ffd_window_counts_a_capped_tail_list(monkeypatch):
+    monkeypatch.setattr(vn, "_DIVISOR_CAP", 50)
+    # q over 8 indices has 255 nonzero finite nets below it, cut to 50
+    for depth, count in ((3, 11), (8, 59)):
+        assert len(monoid_divisors(SEQ, Q, depth)) == count
+        assert ffd_window(SEQ, Q, depth) == DivisorCount(count, False)
+
+
 def test_ffd_window_exact_at_any_depth():
     # (30, 30) needs 30 atoms, more than the depth: the count stays exact
     shallow = ffd_window(M2, fnet(30, 30), depth=16)
@@ -821,6 +837,47 @@ def test_member_table_agrees_with_bfs(case):
 @given(case=small_omega_generated())
 def test_member_table_over_omega_agrees_with_bfs(case):
     _check_table_against_bfs(*case)
+
+
+TRIO = finite_indices("A", "B", "C")
+
+
+def _trio(atoms, b):
+    return generated_monoid(TRIO, [parse_net(TRIO, a) for a in atoms]), parse_net(TRIO, b)
+
+
+def _omega(iset, atoms, b):
+    return generated_monoid(iset, [make_net(iset, *a) for a in atoms]), make_net(iset, *b)
+
+
+# the table packs each coordinate into a field one bit wider than b's largest
+# coordinate, whose top bit guards the bound test
+@pytest.mark.parametrize("m, b", [
+    # a top of 2**3 - 1 fills its field but the guard bit; 2**3 widens it
+    _trio(["A:1", "B:1", "A:3,C:1"], "A:7,B:2,C:1"),
+    _trio(["A:1", "B:1", "A:3,C:1"], "A:8,B:2,C:1"),
+    # A:7 + A:7 = 14 sets the guard bit of A's 4-bit field; the fields of B
+    # and C above it must read as before, so (7, 1, 0) stays a member and
+    # (14, 1, 0) is none
+    _trio(["A:7", "A:1", "B:1"], "A:7,B:1,C:1"),
+    _trio(["A:8", "B:1,C:1", "C:1"], "A:8,B:1,C:2"),
+    # an atom above b in one coordinate takes no part; packed into 5-bit
+    # fields, A:32 would read as B:1
+    _trio(["A:1", "A:9", "B:5,C:1", "B:1"], "A:8,B:2"),
+    _trio(["A:1", "A:32"], "A:8,B:1"),
+    _trio(["A:2,B:1", "B:3"], "A:1,B:1"),
+    # scale 6 at the dense label, with b off the lattice there
+    (generated_monoid(DENSE_THIRDS, [make_net(DENSE_THIRDS, a) for a in DENSE_ATOMS]),
+     make_net(DENSE_THIRDS, {"X": Fraction(11, 6), "Y": 3})),
+    (generated_monoid(DENSE_THIRDS, [make_net(DENSE_THIRDS, a) for a in DENSE_ATOMS]),
+     make_net(DENSE_THIRDS, {"X": Fraction(7, 5), "Y": 2})),
+    # over omega plus a point: the tail and infinity columns are fields too
+    _omega(OMEGA, [({1: 0}, 1, 1), ({2: 1},), ({}, 0, 1)], ({1: 1, 2: 3}, 2, 3)),
+    _omega(DENSE_POINT, [({1: 0}, 1, Fraction(1, 2)), ({}, 0, Fraction(1, 3)), ({3: 2},)],
+           ({3: 4}, 1, Fraction(7, 6))),
+])
+def test_packed_member_walk_edge_cases(m, b):
+    _check_table_against_bfs(m, b, 8)
 
 
 def test_generated_over_omega_sees_every_index():
