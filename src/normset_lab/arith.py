@@ -2,8 +2,13 @@
 
 Trial division is deliberate: every operand in this package is desk-scale
 (norms up to a few million), so anything cleverer would be dead weight.
+What is worth saving is repetition: the divisor-pair walks of the element
+kernel and the normset view ask for the same few integers over and over,
+so lower_divisors keeps each one's small divisors in one bounded memo
+shared by every kernel, session and call.
 """
 
+from functools import lru_cache
 from math import isqrt
 
 
@@ -54,6 +59,18 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
+
+
+@lru_cache(maxsize=4096)
+def lower_divisors(n: int) -> tuple[int, ...]:
+    """The divisors 2 <= k <= sqrt|n| of n, ascending: the lesser side of
+    each splitting |n| = k * (|n| // k) into two factors >= 2, k = sqrt|n|
+    included when |n| is a square. Memoized, hence a tuple, so no caller
+    can change the memo; lower_divisors(0) is a ValueError as divisors(0).
+    """
+    divs = divisors(n)
+    # d and |n| // d pair off from both ends, so half the list is <= sqrt|n|
+    return tuple(divs[1:(len(divs) + 1) // 2])
 
 
 def is_squarefree(n: int) -> bool:

@@ -350,11 +350,18 @@ class FactorSession:
         if hit is None:
             hit = {}
             if not self.is_atom(x):
+                # is_atom is called only on a memo miss, so the charges are
+                # those of the plain loop
+                atom, is_atom, charge = self._atom.get, self.is_atom, self._charge
                 # a walk that the budget cut short starts over
                 for d, q in self._walks.pop(x, None) or self.view.proper_divisors(x):
-                    self._charge()
-                    if d not in hit and self.is_atom(d):
-                        hit[d] = q
+                    charge()
+                    if d not in hit:
+                        a = atom(d)
+                        if a is None:
+                            a = is_atom(d)
+                        if a:
+                            hit[d] = q
             self._pairs[x] = hit
         return hit
 

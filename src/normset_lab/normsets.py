@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .arith import divisors, factorize
+from .arith import factorize, lower_divisors
 from .class_groups import (
     ClassGroupData,
     class_group,
@@ -44,6 +44,7 @@ from .monoid_core import FactorMultiset, FactorSession, MonoidView
 from .quadratic import (
     QuadElem,
     QuadraticOrder,
+    _norm_table,
     divide_exact,
     elements_of_norm,
     exact_real_search_bound,
@@ -236,7 +237,7 @@ def _search(order: QuadraticOrder, m: int, bound: int | None,
     to the exact bound when no bound is given, and is refused with
     NeedsBound when that passes the ceiling. A search at the exact bound
     returns the entry for m of a norm table: the window's when it covers m,
-    else norm_table(order, m, m).
+    else norm_table(order, m, m), built at the exact bound held here.
     """
     exact_b = None if order.is_imaginary else exact_real_search_bound(order, m)
     sb = exact_b if bound is None or exact_b is None else min(bound, exact_b)
@@ -246,7 +247,7 @@ def _search(order: QuadraticOrder, m: int, bound: int | None,
         raise NeedsBound(
             f"exact search for norm {m} in {order} needs |b| <= {exact_b}; {hint}")
     if sb == exact_b:
-        hit = (norm_table(order, m, m) if table is None else table).get(m)
+        hit = (_norm_table(order, m, m, exact_b) if table is None else table).get(m)
         return ([] if hit is None else [hit]), sb, exact_b
     return elements_of_norm(order, m, search_bound=sb), sb, exact_b
 
@@ -354,9 +355,7 @@ def normset_monoid_view(ns: NormsetHandle) -> MonoidView:
     def proper_divisors(x: int):
         # magnitudes 2 <= k <= sqrt|x| only; canon(x // c) == u gives (c, u) unless k^2 = |x|
         ax = abs(x)
-        for k in divisors(ax)[1:]:
-            if k * k > ax:
-                break
+        for k in lower_divisors(ax):
             for s in signs:
                 u = s * k
                 if not member(u):

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import isqrt
 
-from .arith import divisors, is_squarefree
+from .arith import is_squarefree, lower_divisors
 from .errors import BadDiscriminant, NeedsBound
 from .monoid_core import FactorMultiset, FactorSession, MonoidView
 
@@ -440,12 +440,22 @@ def norm_table(order: QuadraticOrder, lo: int, hi: int) -> dict[int, QuadElem]:
     (_domain_roots) with b <= exact_real_search_bound(order, max(|lo|, |hi|)),
     the first solution elements_of_norm returns at the exact bound.
     """
+    b_max = (None if order.is_imaginary
+             else exact_real_search_bound(order, max(abs(lo), abs(hi))))
+    return _norm_table(order, lo, hi, b_max)
+
+
+def _norm_table(order: QuadraticOrder, lo: int, hi: int,
+                b_max: int | None) -> dict[int, QuadElem]:
+    """norm_table(order, lo, hi) with its real b-bound b_max handed in, for a
+    caller that already holds it: exact_real_search_bound(order,
+    max(|lo|, |hi|)) on a real order, None on an imaginary one.
+    """
     p, imag = order.p, order.is_imaginary
     if imag:
         roots = _norm_scan(order, lo, hi, _imag_bs(order, hi))
     else:
-        roots = _domain_roots(order, lo, hi,
-                              exact_real_search_bound(order, max(abs(lo), abs(hi))))
+        roots = _domain_roots(order, lo, hi, b_max)
     best: dict[int, tuple] = {}
     for m, t, b in roots:
         if -2 < m < 2:
@@ -521,24 +531,33 @@ def _solutions(order: QuadraticOrder, m: int) -> list[tuple[int, int]]:
 def _element_kernel(order: QuadraticOrder) -> MonoidView:
     """The element view of an imaginary order on canonical (a, b) int pairs,
     with p and q held by its closures and the arithmetic of _product,
-    _quotient and _unit_canon. Each norm is solved once (_solutions), for
-    divisors and window alike; the key is (N, b<0, a<0, |b|, |a|). The
-    window `elements_up_to(B)` streams each size s = 2, 3, ... in turn: the
-    canonical elements of norm s, then the integer s (key N = s^2), which
-    can split into conjugate factors of norm far below s^2, so a window
-    without the integers would miss the earliest witnesses.
+    _quotient and _unit_canon. Each norm is solved once, for divisors and
+    window alike, by canonicalizing the roots t >= 0 of _norm_scan: the
+    other roots are their negatives, associates of them. The key is
+    (N, b<0, a<0, |b|, |a|).
+
+    `proper_divisors(x)` walks the norms 2 <= k <= sqrt(N) of
+    arith.lower_divisors, so the small divisors of each norm are listed
+    once per process; it divides x by each solution d of norm k inline, as
+    x * conj(d) / k, and yields (d, c) for every exact cofactor c, and
+    (c, d) too when k^2 < N, so each pair comes once.
+
+    The window `elements_up_to(B)` streams each size s = 2, 3, ... in turn:
+    the canonical elements of norm s, then the integer s (key N = s^2),
+    which can split into conjugate factors of norm far below s^2, so a
+    window without the integers would miss the earliest witnesses.
     """
     if not order.is_imaginary:
         raise ValueError("element factorization is imaginary-only")
     p, q = order.p, order.q
     canon = _unit_canon(order)
     by_norm: dict[int, list[tuple[int, int]]] = {}
-    low: dict[int, list[int]] = {}
 
     def of_norm(k):
         hit = by_norm.get(k)
         if hit is None:
-            hit = by_norm[k] = list(dict.fromkeys(canon(a, b) for a, b in _solutions(order, k)))
+            roots = _norm_scan(order, k, k, _imag_bs(order, k))
+            hit = by_norm[k] = list(dict.fromkeys(canon((t - p * b) // 2, b) for _, t, b in roots))
         return hit
 
     def key(x):
@@ -546,19 +565,28 @@ def _element_kernel(order: QuadraticOrder) -> MonoidView:
         return (a * a + p * a * b - q * b * b, b < 0, a < 0, abs(b), abs(a))
 
     def proper_divisors(x):
-        # norms 2 <= k <= sqrt(N) only; each cofactor c gives (c, d) unless k^2 = N
         a, b = x
         nm = a * a + p * a * b - q * b * b
-        if nm not in low:
-            low[nm] = [k for k in divisors(nm) if k >= 2 and k * k <= nm]
-        for k in low[nm]:
-            for dv in of_norm(k):
-                r = _quotient(p, q, a, b, *dv)
-                if r is not None:
-                    c = canon(*r)
-                    yield dv, c
-                    if k * k < nm:
-                        yield c, dv
+        qb, ap = q * b, a + p * b
+        for k in lower_divisors(nm):
+            sols = by_norm.get(k)
+            if sols is None:
+                sols = of_norm(k)
+            both = k * k < nm
+            for dv in sols:
+                # conj(c + e*w) = (c + p*e) - e*w
+                c, e = dv
+                f = c + p * e
+                s = a * f - qb * e
+                if s % k:
+                    continue
+                t = b * f - ap * e
+                if t % k:
+                    continue
+                r = canon(s // k, t // k)
+                yield dv, r
+                if both:
+                    yield r, dv
 
     def divide(dv, x):
         r = _quotient(p, q, *x, *dv)

@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from normset_lab.arith import divisors, factorize, is_square, is_squarefree, kronecker
+from normset_lab.arith import (divisors, factorize, is_square, is_squarefree, kronecker,
+                               lower_divisors)
 
 
 def test_factorize_small_table():
@@ -39,6 +40,24 @@ def test_factorize_reconstructs(n):
 @given(st.integers(min_value=1, max_value=20_000))
 def test_divisors_oracle(n):
     assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_lower_divisors_brute_force():
+    for m in range(1, 5001):
+        want = tuple(k for k in range(2, math.isqrt(m) + 1) if m % k == 0)
+        assert lower_divisors(m) == lower_divisors(-m) == want, m
+    assert lower_divisors(1) == lower_divisors(-1) == ()
+    assert lower_divisors(4999) == () and lower_divisors(-4999) == ()  # prime
+    assert lower_divisors(49) == (7,) and lower_divisors(-3600)[-1] == 60
+    assert lower_divisors(360) == (2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18)
+
+
+def test_lower_divisors_memo_is_immutable_and_refuses_zero():
+    # a tuple, so no caller can change what the next one reads
+    assert type(lower_divisors(5040)) is tuple
+    assert lower_divisors(5040) is lower_divisors(5040)
+    with pytest.raises(ValueError):
+        lower_divisors(0)
 
 
 @given(st.integers(min_value=-2000, max_value=2000).filter(lambda n: n != 0))

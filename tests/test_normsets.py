@@ -27,6 +27,7 @@ from normset_lab import (
     strong_saturation_check,
 )
 import normset_lab.normsets as normsets
+import normset_lab.quadratic as quadratic
 from normset_lab.arith import divisors, is_squarefree
 from normset_lab.normsets import _REAL_SEARCH_CEILING, Verdict
 from normset_lab.quadratic import exact_real_search_bound, order_fundamental_unit
@@ -261,9 +262,10 @@ def test_policy_both_cross_checks_the_whole_window(monkeypatch, d, builder,
 
 
 def test_windows_make_no_per_norm_searches(monkeypatch):
-    # a search for one norm runs elements_of_norm or norm_table(order, m, m),
-    # so the only norm_table calls are the two windows'
-    calls = {"elements_of_norm": [], "ideal_class_options": [], "norm_table": []}
+    # a search for one norm runs elements_of_norm or _norm_table(order, m, m,
+    # exact bound), so the only table builds are the two windows'
+    calls = {"elements_of_norm": [], "ideal_class_options": [], "norm_table": [],
+             "_norm_table": []}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(normsets, name), **kwargs):
             calls[_name].append(args[1:])
@@ -272,7 +274,34 @@ def test_windows_make_no_per_norm_searches(monkeypatch):
     assert irreducibles_up_to(normset_of(order_of(-23)), 400)
     assert irreducibles_up_to(normset_of(order_of(34)), 300)
     assert calls == {"elements_of_norm": [], "ideal_class_options": [],
-                     "norm_table": [(-400, 400), (-300, 300)]}
+                     "norm_table": [(-400, 400), (-300, 300)], "_norm_table": []}
+
+
+@pytest.mark.parametrize("d,n,m,policy,answer,witness", [
+    (34, 1, -9, "form_search", "yes", "5+1*w"),
+    (34, 1, 7, "form_search", "no", None),
+    (5, 2, 11, "auto", "yes", "3+1*w"),
+    (2, 3, -7, "auto", "no", None),
+    (13, 1, 12, "auto", "yes", "4+2*w"),
+])
+def test_real_search_solves_its_exact_bound_once(monkeypatch, d, n, m, policy,
+                                                 answer, witness):
+    # a single-norm search outside any window builds its table at the exact
+    # bound it already holds, and reports that bound as before
+    order = order_of(d, n)
+    exact_b = exact_real_search_bound(order, m)
+    calls = []
+
+    def counted(o, k, _fn=exact_real_search_bound):
+        calls.append(k)
+        return _fn(o, k)
+
+    monkeypatch.setattr(normsets, "exact_real_search_bound", counted)
+    monkeypatch.setattr(quadratic, "exact_real_search_bound", counted)
+    v = normset_of(order, policy).contains(m)
+    assert calls == [m]
+    assert (v.answer, None if v.witness is None else str(v.witness)) == (answer, witness)
+    assert v.bound_used == (None if v.backend == "ideal_theoretic" else exact_b)
 
 
 def test_verdict_record_shape():

@@ -786,3 +786,24 @@ def test_kernel_lists_each_divisor_pair_once(d, n):
         got = list(kernel.proper_divisors((a, b)))
         assert len(got) == len(set(got)), (x, got)
         assert set(got) == want, x
+
+
+@pytest.mark.parametrize("d,n", KERNEL_ORDERS)
+@settings(max_examples=100, deadline=None)
+@given(a=st.integers(-40, 40), b=st.integers(-40, 40))
+def test_kernel_pairs_match_brute_force_division(d, n, a, b):
+    # norms up to ~2e4, far past the window of the test above; the kernel
+    # divides inline by the divisor's norm, the brute force by QuadElem
+    # arithmetic over every norm 2 <= k <= N/2
+    order = order_of(d, n)
+    x = order.element(a, b)
+    if x.is_zero() or x.is_unit():
+        return
+    nm = x.norm()
+    want = {(tuple(_orbit_min(y)), tuple(_orbit_min(q)))
+            for k in range(2, nm // 2 + 1) if nm % k == 0
+            for y in elements_of_norm(order, k)
+            for q in [_quotient_by_conj(x, y)] if q is not None}
+    got = list(_element_kernel(order).proper_divisors(tuple(_orbit_min(x))))
+    assert len(got) == len(set(got)), (x, got)
+    assert set(got) == want, x
