@@ -354,7 +354,7 @@ def _add_common(p, *, d=False, n=False, bound=False, value=False, depth=False):
         p.add_argument("--value", type=int, required=True,
                        help="integer queried against the normset")
     if depth:
-        p.add_argument("--depth", type=_at_least(1), default=32,
+        p.add_argument("--depth", type=_at_least(1), default=vn.DEFAULT_DEPTH,
                        help="index window for the infinite divisor lists of "
                             "positive-tail sequence nets (divisors, sb); every "
                             "other valnet answer is exact at any depth")

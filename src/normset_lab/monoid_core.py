@@ -195,8 +195,8 @@ def _davenport_search(g: AbelianGroup, cap: int = 64,
     return size, tuple(coords[k] for k in next(iter(last.values())))
 
 
-def davenport(g: AbelianGroup, cap: int = 64) -> int:
-    return davenport_witness(g, cap)[0]
+def davenport(g: AbelianGroup) -> int:
+    return davenport_witness(g)[0]
 
 
 def invariant_factors_from_table(elements: list, add: Callable, zero) -> tuple[int, ...]:
@@ -325,8 +325,8 @@ class FactorSession:
         self._facts: dict = {}
         self._lengths: dict = {}
 
-    def _charge(self, n: int = 1):
-        self.spent += n
+    def _charge(self):
+        self.spent += 1
         if self.spent > self.budget:
             raise SearchBudgetExceeded(
                 f"factorization budget {self.budget} exhausted in {self.view.name}",
@@ -490,18 +490,8 @@ def is_ufm_window(view: MonoidView, bound: int, session: FactorSession | None = 
         if len(facts) > 1:
             return WindowVerdict(False, bound, ("non_unique", x, facts[0], facts[1]))
     atoms = [x for x in members if session.is_atom(x)]
-    div_memo: dict[tuple, bool] = {}
-
-    def divides(q, a):
-        k = (view.key(q), view.key(a))
-        hit = div_memo.get(k)
-        if hit is None:
-            hit = view.divide(q, a) is not None
-            div_memo[k] = hit
-        return hit
-
     for q in atoms:
-        clear = [a for a in members if not divides(q, a)]
+        clear = [a for a in members if view.divide(q, a) is None]
         for i, a in enumerate(clear):
             for b in clear[i:]:
                 if view.divide(q, view.op(a, b)) is not None:

@@ -7,8 +7,10 @@ bound dominates the unit-reduction bound. The ideal-theoretic backend
 factors |m|, walks the splitting type of each prime, collects the ideal
 classes that can carry an ideal of norm |m|, and asks whether the principal
 class is among them; for real fields the narrow class group resolves which
-sign of m is achieved. Running both and asserting agreement is the module's
-own correctness oracle.
+sign of m is achieved. Its "yes" still carries an element as witness, the
+element search's, so a query runs that search at most once. Running both
+and asserting agreement is the module's own correctness oracle: the ideal
+answer comes from the class test alone.
 
 Sign convention: imaginary normsets are sets of positive integers; real
 normsets may contain negative integers, and contain -1 exactly when the
@@ -105,6 +107,8 @@ class NormsetHandle:
     auto routes imaginary orders and non-maximal real orders to the element
     search and maximal real orders to the ideal-theoretic path;
     "both" runs the two backends side by side and hard-asserts agreement.
+    The two share one element search per query, whose witness the ideal
+    backend reports; alone, it searches only when its class test says yes.
 
     Besides its verdict memo, a handle holds the window tables that
     members_up_to(B) fills for every 2 <= |m| <= B: always a norm table of
@@ -158,12 +162,12 @@ class NormsetHandle:
         policy = self._backend()
         table, classes = ((self._norms, self._classes) if abs(m) <= self._norms_bound
                           else (None, None))
-        if policy == "form_search":
-            return _form_search_contains(order, m, bound, table)
         if policy == "ideal_theoretic":
             return _ideal_contains(order, m, bound, table, classes)
         v1 = _form_search_contains(order, m, bound, table)
-        v2 = _ideal_contains(order, m, bound, table, classes)
+        if policy == "form_search":
+            return v1
+        v2 = _ideal_contains(order, m, bound, table, classes, v1)
         if v1.answer != "unknown" and v1.answer != v2.answer:
             raise _disagreement(self, m, v1.answer, v2.answer)
         best = v1 if v1.answer != "unknown" else v2
@@ -229,15 +233,15 @@ def _unit_verdict(order: QuadraticOrder, m: int) -> Verdict:
     return Verdict("no", None, None, "units", m)
 
 
-def _search(order: QuadraticOrder, m: int, bound: int | None,
-            table: dict | None) -> tuple[list[QuadElem], int | None, int | None]:
-    """The element search under the bound rule, as (solutions, bound used,
-    exact bound). The exact bound is None on imaginary orders, whose search
-    is always exact. A real search runs to |b| <= min(bound, exact bound),
-    to the exact bound when no bound is given, and is refused with
-    NeedsBound when that passes the ceiling. A search at the exact bound
-    returns the entry for m of a norm table: the window's when it covers m,
-    else norm_table(order, m, m), built at the exact bound held here.
+def _form_search_contains(order: QuadraticOrder, m: int, bound: int | None,
+                          table: dict | None) -> Verdict:
+    """The element search under the bound rule. An imaginary search is
+    always exact. A real search runs to |b| <= min(bound, exact bound), to
+    the exact bound when no bound is given, and is refused with NeedsBound
+    when that passes the ceiling. A search at the exact bound reads the
+    entry for m of a norm table, the window's when it covers m, else
+    norm_table(order, m, m) built at the exact bound held here, and answers
+    yes or no; a shorter one that finds nothing answers unknown.
     """
     exact_b = None if order.is_imaginary else exact_real_search_bound(order, m)
     sb = exact_b if bound is None or exact_b is None else min(bound, exact_b)
@@ -247,18 +251,11 @@ def _search(order: QuadraticOrder, m: int, bound: int | None,
         raise NeedsBound(
             f"exact search for norm {m} in {order} needs |b| <= {exact_b}; {hint}")
     if sb == exact_b:
-        hit = (_norm_table(order, m, m, exact_b) if table is None else table).get(m)
-        return ([] if hit is None else [hit]), sb, exact_b
-    return elements_of_norm(order, m, search_bound=sb), sb, exact_b
-
-
-def _form_search_contains(order: QuadraticOrder, m: int, bound: int | None,
-                          table: dict | None) -> Verdict:
-    sols, sb, exact_b = _search(order, m, bound, table)
+        wit = (_norm_table(order, m, m, exact_b) if table is None else table).get(m)
+        return Verdict("no" if wit is None else "yes", wit, sb, "form_search", m)
+    sols = elements_of_norm(order, m, search_bound=sb)
     if sols:
         return Verdict("yes", sols[0], sb, "form_search", m)
-    if sb == exact_b:
-        return Verdict("no", None, sb, "form_search", m)
     return Verdict("unknown", None, sb, "form_search", m)
 
 
@@ -298,28 +295,25 @@ def _is_ideal_norm(cg: ClassGroupData, m: int, classes: list | None) -> bool:
 
 
 def _ideal_contains(order: QuadraticOrder, m: int, bound: int | None,
-                    table: dict | None, classes: list | None) -> Verdict:
+                    table: dict | None, classes: list | None,
+                    search: Verdict | None = None) -> Verdict:
+    """The class test, and for a "yes" the witness of the element search:
+    `search` when the caller already ran it, else a search run here. The
+    search must find one at the exact bound; a shorter bound that finds
+    nothing raises NeedsBound, since a "yes" must carry its witness.
+    """
     if not _is_ideal_norm(_ideal_group(order), m, classes):
         return Verdict("no", None, None, "ideal_theoretic", m)
-    wit = _element_witness(order, m, bound, table)
-    return Verdict("yes", wit, None, "ideal_theoretic", m)
-
-
-def _element_witness(order: QuadraticOrder, m: int, bound: int | None,
-                     table: dict | None) -> QuadElem:
-    """Fetch an element of norm m after the ideal backend certified one
-    exists, under the bound rule of the element search (_search); a bound
-    below the exact one that finds nothing raises NeedsBound, since a "yes"
-    must carry its witness. At the exact bound the search must find one.
-    """
-    sols, sb, exact_b = _search(order, m, bound, table)
-    if not sols and sb != exact_b:
-        raise NeedsBound(
-            f"norm {m} in {order} has an element but none with |b| <= {sb}; "
-            f"the exact search needs |b| <= {exact_b}")
-    if not sols:
+    if search is None:
+        search = _form_search_contains(order, m, bound, table)
+    if search.answer == "no":
         raise _uncertified(order, m)
-    return sols[0]
+    if search.answer == "unknown":
+        raise NeedsBound(
+            f"norm {m} in {order} has an element but none with |b| <= "
+            f"{search.bound_used}; the exact search needs |b| <= "
+            f"{exact_real_search_bound(order, m)}")
+    return Verdict("yes", search.witness, None, "ideal_theoretic", m)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +504,8 @@ def strong_saturation_check(order: QuadraticOrder, alpha: QuadElem,
     Exact on both kinds. A real order lists one solution per same-norm
     associate class at the exact bound, and divisibility does not depend on
     the associate, so an exhausted list is a "no"; when that bound passes
-    the ceiling of _search the check is refused with NeedsBound, naming
-    both.
+    the ceiling of _form_search_contains the check is refused with
+    NeedsBound, naming both.
     """
     na = alpha.norm()
     nb = beta.norm()

@@ -23,8 +23,9 @@ bit on top, so a sum and its bound test are an addition, a subtraction and a
 mask; the members are decoded into int tuples once. The last table built is
 kept, so the next query on the same net reuses it and at most one table
 stays in memory between calls. Only the infinite divisor lists of
-positive-tail sequence nets are cut at a depth. A sequence net whose value
-at infinity is off its tail is no member and has no divisors: its divisor
+positive-tail sequence nets are cut at a depth, by default DEFAULT_DEPTH
+(32) in every function that takes one. A sequence net whose value at
+infinity is off its tail is no member and has no divisors: its divisor
 list is empty and its S_b is the empty set.
 
 Ideal norms carry an attainment flag: (gamma, attained=False) encodes the
@@ -49,6 +50,7 @@ from .monoid_core import FactorMultiset, FactorSession, MonoidView
 
 INF_INDEX = "inf"
 DISCRETE, DENSE = "discrete", "dense"
+DEFAULT_DEPTH = 32  # the one default of every depth parameter
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +282,7 @@ class NetMonoid:
     def zero(self) -> ValNet:
         return zero_net(self.index_set)
 
-    def contains(self, x: ValNet, depth: int = 64) -> bool:
+    def contains(self, x: ValNet, depth: int = DEFAULT_DEPTH) -> bool:
         """Exact membership; `depth` is accepted and ignored."""
         if x.index_set != self.index_set:
             return False
@@ -439,7 +441,7 @@ def _table(m: NetMonoid, b: ValNet) -> _Table:
     return _Table(m, b)
 
 
-def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = 32) -> list[ValNet]:
+def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = DEFAULT_DEPTH) -> list[ValNet]:
     """Nonunit divisors of b inside m, i.e. members d <= b whose cofactor
     b - d is also a member, sorted by _net_key.
 
@@ -500,7 +502,7 @@ def _tail_window(b: ValNet, depth: int) -> list:
 # length analytics
 
 
-def S_b(m: NetMonoid, b: ValNet, depth: int = 12) -> set:
+def S_b(m: NetMonoid, b: ValNet, depth: int = DEFAULT_DEPTH) -> set:
     """Lengths ||d|| of nonunit divisors of b in m. Exact for generated
     monoids, read off the member table, which the next query on the same
     (monoid, net) reuses. Exact for zero-tail sequence nets, where every
@@ -522,18 +524,18 @@ def S_b(m: NetMonoid, b: ValNet, depth: int = 12) -> set:
     return {length(t.net(d)) for d in t.divisors(t.vec(b))}
 
 
-def inf_S_b(m: NetMonoid, b: ValNet, depth: int = 12):
+def inf_S_b(m: NetMonoid, b: ValNet, depth: int = DEFAULT_DEPTH):
     s = S_b(m, b, depth)
     return min(s) if s else None
 
 
-def bfd_bound(m: NetMonoid, b: ValNet, depth: int = 12) -> int | None:
+def bfd_bound(m: NetMonoid, b: ValNet, depth: int = DEFAULT_DEPTH) -> int | None:
     """ceil(||b|| / inf S_b): a bound on the length of every factorization
     of b. None when ||b|| is infinite or b is a unit.
     """
     t = inf_S_b(m, b, depth)
     lb = length(b)
-    if t is None or t == 0 or lb == inf:
+    if t is None or lb == inf:
         return None
     return ceil(Fraction(lb) / Fraction(t))
 
@@ -573,7 +575,7 @@ def net_factorizations(m: NetMonoid, b: ValNet) -> tuple[FactorMultiset, ...]:
 
 
 def find_atomic_factorization(m: NetMonoid, b: ValNet,
-                              depth: int = 32) -> SearchOutcome:
+                              depth: int = DEFAULT_DEPTH) -> SearchOutcome:
     """One factorization of b into atoms, three-valued; `depth` is accepted
     and ignored.
 
@@ -635,10 +637,8 @@ def accp_chain(m: NetMonoid, b: ValNet, k: int) -> list[ValNet] | None:
                 # strip one unit at the first tail index beyond the support
                 nxt_idx = max([*cur.support_indices(), 0]) + 1
             else:
-                pos = [i for i, v in cur.support if v > 0]
-                if not pos:
-                    return None
-                nxt_idx = pos[0]
+                # a nonzero zero-tail member is positive on its support
+                nxt_idx = cur.support[0][0]
             cur = net_sub(cur, e_net(m.index_set, nxt_idx))
             if cur.is_zero:
                 return None
@@ -672,7 +672,7 @@ def accp_chain(m: NetMonoid, b: ValNet, k: int) -> list[ValNet] | None:
 
 
 def comaximal_family(m: NetMonoid, b: ValNet, k: int,
-                     depth: int = 16) -> list[ValNet] | None:
+                     depth: int = DEFAULT_DEPTH) -> list[ValNet] | None:
     """k nonunit divisors of b with pairwise disjoint positive regions, or
     None if b has no such family; `depth` is accepted and ignored. On a
     generated monoid two divisors are disjoint when no table coordinate is
@@ -712,7 +712,7 @@ def comaximal_family(m: NetMonoid, b: ValNet, k: int,
 
 
 def finite_cover_check(m: NetMonoid, b: ValNet, candidate: list,
-                       depth: int = 32) -> bool:
+                       depth: int = DEFAULT_DEPTH) -> bool:
     """Do the candidate indices cover the divisors of b: does every nonunit
     divisor have positive value at some candidate index? `depth` is
     accepted and ignored. In the sequence domain the binding cases are the
@@ -758,11 +758,12 @@ class DivisorCount:
         return str(self.count) if self.exact else f">={self.count} (depth hit)"
 
 
-def ffd_window(m: NetMonoid, b: ValNet, depth: int = 16) -> DivisorCount:
+def ffd_window(m: NetMonoid, b: ValNet, depth: int = DEFAULT_DEPTH) -> DivisorCount:
     """Number of distinct nonunit divisors of b. Exact for generated
     monoids and zero-tail sequence members, and 0 (exact) for a sequence
     net that is no member. A positive tail has infinitely many divisors,
-    and the count of the depth-truncated list is a lower bound.
+    and the count of monoid_divisors(m, b, depth), the depth-truncated
+    list, is a lower bound.
     """
     if m.kind == "sequence_domain":
         if not m.contains(b):
@@ -844,16 +845,9 @@ def ideal_norm_product_check(m: NetMonoid, gens_i: list[ValNet],
     def at(n, k):
         return n.get(k, n["tail"])
 
-    for k in keys:
-        if k == "inf":
-            tag = m.index_set.infinity_tag
-        elif k == "tail" or m.index_set.kind == "omega_plus_point":
-            tag = DISCRETE
-        else:
-            tag = m.index_set.tag_of(k)
-        if eps_add(at(ni, k), at(nj, k), tag) != at(np_, k):
-            return False
-    return True
+    # ideal_norm builds attained values only, so no epsilon, and no value
+    # tag, takes part in the sum
+    return all(eps_add(at(ni, k), at(nj, k)) == at(np_, k) for k in keys)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import normset_lab.valnet_sim as vn
 from normset_lab import ffd_window, load_net_monoid, parse_net
-from normset_lab.cli import entry, main
+from normset_lab.cli import build_parser, entry, main
 
 
 def run(capsys, *argv):
@@ -538,6 +539,11 @@ def test_valnet_divisor_count_is_ffd_window(capsys):
         rec = json.loads(out)
         assert (rec["count"], rec["exact"]) == (count.count, count.exact), cmd
         assert len(rec["divisors"]) == rec["count"], cmd
+
+
+def test_valnet_depth_default_is_the_library_default():
+    args = build_parser().parse_args(["valnet", "seq.net", "divisors", "w1"])
+    assert args.depth == vn.DEFAULT_DEPTH
 
 
 @pytest.mark.parametrize("net", ["1:2,inf:1", "1:2,tail:1,inf:2"])

@@ -1,7 +1,9 @@
-"""Source hygiene: every name a module of normset_lab imports is used there.
+"""Source hygiene: every name a module of normset_lab imports is used there,
+and every private module-level function or class is used somewhere.
 
-A stdlib-only static check over the package sources. The package's
-__init__ is exempt, since its imports are its public re-exports.
+Stdlib-only static checks over the package sources. The package's
+__init__ is exempt from the import check, since its imports are its public
+re-exports.
 """
 
 import ast
@@ -57,3 +59,44 @@ def test_check_sees_an_unused_import():
                      "from .quadratic import QuadElem\n"
                      "def f(x: 'QuadElem') -> Any:\n    return 'Optional'\n")
     assert set(_imported_names(tree)) - _used_names(tree) == {"Optional", "os"}
+
+
+def _orphans(trees: dict[str, ast.Module]) -> set[str]:
+    """The module-level _name functions and classes that no statement of the
+    package reads, apart from the definition's own statement."""
+    readers: dict[str, set] = {}
+    for mod, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                readers.setdefault(name, set()).add((mod, i))
+    return {f"{mod}.{stmt.name}"
+            for mod, tree in trees.items() for i, stmt in enumerate(tree.body)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_") and not stmt.name.startswith("__")
+            and not readers.get(stmt.name, set()) - {(mod, i)}}
+
+
+def test_every_private_helper_is_used():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert not _orphans(trees)
+
+
+def test_check_sees_an_orphaned_helper():
+    trees = {
+        "a": ast.parse("def _used():\n    return 1\n"
+                       "def _orphan(n):\n    return _orphan(n - 1) if n else 0\n"
+                       "class _Alone:\n    pass\n"
+                       "def _imported():\n    pass\n"),
+        "b": ast.parse("from .a import _imported\nimport a\n"
+                       "def f():\n    return a._used()\n"),
+    }
+    assert _orphans(trees) == {"a._orphan", "a._Alone"}

@@ -304,6 +304,38 @@ def test_real_search_solves_its_exact_bound_once(monkeypatch, d, n, m, policy,
     assert v.bound_used == (None if v.backend == "ideal_theoretic" else exact_b)
 
 
+def test_policy_both_searches_once_per_query(monkeypatch):
+    # the ideal backend reads the element search's verdict instead of
+    # running the same search again for its witness
+    searches = []
+    for name in ("elements_of_norm", "_norm_table"):
+        def counted(*args, _fn=getattr(normsets, name), **kwargs):
+            searches.append(args[1:])
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(normsets, name, counted)
+    queries = [(d, m, bound) for d in (-5, -14, -23, 10, 34)
+               for m in (2, 3, -3, 6, 7, -9, 14, 30) for bound in (None, 40)]
+    # 3 in Z[sqrt 34] with |b| <= 1 is unknown; 2 in Z[(1+sqrt 97)/2] has an
+    # element, none with |b| <= 6, and its exact bound passes the ceiling
+    queries += [(34, 3, 1), (97, 2, 6), (97, 2, None)]
+    seen = set()
+    for d, m, bound in queries:
+        counts, answers = [], []
+        for policy in ("form_search", "both", "ideal_theoretic"):
+            searches.clear()
+            try:
+                answers.append(normset_of(order_of(d), policy).contains(m, bound).answer)
+            except NeedsBound:
+                answers.append("NeedsBound")
+            counts.append(len(searches))
+            seen.add((policy, answers[-1]))
+        assert counts[0] == counts[1] <= 1, (d, m, bound, counts)
+        # the ideal backend searches only when its class test says yes
+        assert counts[2] == (0 if answers[2] == "no" else counts[0]), (d, m, bound, counts)
+    assert {("form_search", "unknown"), ("both", "NeedsBound"), ("both", "yes"),
+            ("both", "no"), ("ideal_theoretic", "no")} <= seen
+
+
 def test_verdict_record_shape():
     v = normset_of(order_of(34)).contains(-9)
     rec = v.to_record()

@@ -2,6 +2,7 @@
 factorization outcomes, covers, and the eps-flagged ideal norms.
 """
 
+import inspect
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -707,6 +708,24 @@ def test_ffd_window():
 def test_ffd_window_counts_the_divisor_list(b, depth):
     # a positive tail's count comes without listing; it must match the list
     assert ffd_window(SEQ, b, depth).count == len(monoid_divisors(SEQ, b, depth))
+
+
+@pytest.mark.parametrize("b", [W1, Q, omega_net(OMEGA, 3),
+                               make_net(OMEGA, {2: 3}, tail=1, at_infinity=1)], ids=str)
+def test_ffd_window_counts_the_default_divisor_list(b):
+    # with their defaults both read one window, so the count is the list's
+    divs = monoid_divisors(SEQ, b)
+    assert ffd_window(SEQ, b) == DivisorCount(len(divs), False)
+
+
+def test_every_depth_parameter_has_one_default():
+    fns = [f for name, f in vars(vn).items() if inspect.isfunction(f)
+           and f.__module__ == vn.__name__ and not name.startswith("_")]
+    defaults = {f.__name__: inspect.signature(f).parameters["depth"].default
+                for f in fns + [vn.NetMonoid.contains]
+                if "depth" in inspect.signature(f).parameters}
+    assert {"contains", "monoid_divisors", "S_b", "ffd_window"} <= set(defaults)
+    assert set(defaults.values()) == {vn.DEFAULT_DEPTH}, defaults
 
 
 def test_ffd_window_counts_a_capped_tail_list(monkeypatch):
