@@ -37,12 +37,12 @@ discrete value group (eps ~ 1).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import compress, islice
 from math import ceil, inf, lcm, prod
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from typing import Any, Iterable
 
 from .errors import CapExceeded, IndexMismatch
@@ -80,10 +80,13 @@ class IndexSet:
         for t in tuple(self.tags) + (self.infinity_tag,):
             if t not in (DISCRETE, DENSE):
                 raise ValueError(f"unknown value tag {t!r}")
+        # each label's place, read by every net built over this set; not a
+        # field, so equality and hashing ignore it
+        object.__setattr__(self, "_position", {lab: k for k, lab in enumerate(self.labels)})
 
     def tag_of(self, idx) -> str:
         if self.kind == "finite":
-            return self.tags[self.labels.index(idx)]
+            return self.tags[self._position[idx]]
         return self.infinity_tag if idx == INF_INDEX else DISCRETE
 
     def valid_index(self, idx) -> bool:
@@ -107,6 +110,10 @@ def omega_indices(infinity_tag: str = DISCRETE) -> IndexSet:
 
 
 def _check_value(v, tag: str):
+    if type(v) is int:  # the common case, spared the ABC checks on Fraction
+        if v < 0:
+            raise ValueError("net values are non-negative")
+        return v
     if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
         raise ValueError(f"net values are integers or fractions, got {v!r}")
     if v < 0:
@@ -118,7 +125,7 @@ def _check_value(v, tag: str):
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValNet:
     """An eventually constant valuation net, stored sparsely.
 
@@ -180,10 +187,27 @@ def make_net(index_set: IndexSet, values: dict | None = None, tail=0,
         if v != tail:
             sup.append((i, v))
     if index_set.kind == "finite":
-        sup.sort(key=lambda p: index_set.labels.index(p[0]))
+        sup.sort(key=lambda p: index_set._position[p[0]])
     else:
         sup.sort()
-    return ValNet(index_set, tuple(sup), tail, at_infinity)
+    return _canon_net(index_set, tuple(sup), tail, at_infinity)
+
+
+# ValNet's slot setters, which bypass its frozen __setattr__
+_SET_INDEX_SET, _SET_SUPPORT, _SET_TAIL, _SET_AT_INFINITY = (
+    ValNet.__dict__[f.name].__set__ for f in fields(ValNet))
+
+
+def _canon_net(index_set: IndexSet, support: tuple, tail=0, at_infinity=0) -> ValNet:
+    """ValNet(index_set, support, tail, at_infinity) for fields that are
+    already canonical (support sorted, free of the tail value, every value
+    checked), filled through the slots instead of the dataclass __init__."""
+    x = object.__new__(ValNet)
+    _SET_INDEX_SET(x, index_set)
+    _SET_SUPPORT(x, support)
+    _SET_TAIL(x, tail)
+    _SET_AT_INFINITY(x, at_infinity)
+    return x
 
 
 def zero_net(index_set: IndexSet) -> ValNet:
@@ -402,12 +426,35 @@ class _Table:
         return tuple(n // d if n % d == 0 else -1 for n, d in w)
 
     def net(self, v) -> ValNet:
-        vals = [(i, x // s if x % s == 0 else Fraction(x, s))
-                for i, x, s in zip(self.labels, v, self.scale)]
-        if self.m.index_set.kind == "finite":
-            return ValNet(self.m.index_set, tuple((i, x) for i, x in vals if x))
-        *vals, (_, tail), (_, at_inf) = vals
-        return make_net(self.m.index_set, dict(vals), tail, at_inf)
+        vals = [x // s if x % s == 0 else Fraction(x, s) for x, s in zip(v, self.scale)]
+        tail = at_inf = 0
+        if self.m.index_set.kind == "omega_plus_point":
+            # the labels are sorted, and every value off infinity is discrete
+            *vals, tail, at_inf = vals
+        return _canon_net(self.m.index_set,
+                          tuple((i, x) for i, x in zip(self.labels, vals) if x != tail),
+                          tail, at_inf)
+
+    def lengths(self, vs) -> set:
+        """{length(self.net(v)) for v in vs} without the nets, equal in value
+        and in type: a sum with a fractional term is a Fraction even when it
+        is whole, and the set is filled in the same order, so of an int and
+        a Fraction of one value the same one stays."""
+        den = lcm(*self.scale)
+        weights = [den // s for s in self.scale]
+        scaled = [(k, s) for k, s in enumerate(self.scale) if s != 1]
+        # over omega plus a point, a positive tail column makes the length inf
+        tail = -2 if self.m.index_set.kind == "omega_plus_point" else None
+        out = set()
+        for v in vs:
+            n = sum(map(mul, v, weights))
+            if tail is not None and v[tail]:
+                out.add(inf)
+            elif any(v[k] % s for k, s in scaled):
+                out.add(Fraction(n, den))
+            else:
+                out.add(n // den)
+        return out
 
     def key(self, v):
         """Sorts int tuples as _net_key sorts their nets."""
@@ -447,8 +494,9 @@ def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = DEFAULT_DEPTH) -> list
 
     Generated monoids: complete (see _Table for its cap); the member table
     is reused by the next query on the same (monoid, net). Sequence domain
-    with zero tail: complete (every nonzero net below b), or CapExceeded
-    beyond 10,000 divisors. With a positive tail b has infinitely many
+    with zero tail: complete (every nonzero net below b), written in
+    _net_key order without a sort, or CapExceeded beyond 10,000 divisors,
+    before any is listed. With a positive tail b has infinitely many
     divisors, and the list is truncated by `depth`. A sequence net with its
     value at infinity off its tail is no member, and neither is any b - d,
     so it has no divisors.
@@ -463,15 +511,21 @@ def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = DEFAULT_DEPTH) -> list
         if count > _DIVISOR_CAP:
             raise CapExceeded(f"{b} has {count} divisors, more than {_DIVISOR_CAP} "
                               "to list", cap=_DIVISOR_CAP)
-        # rows (_net_key support, support), extended one index at a time;
-        # the zero net's row has the empty key and sorts first
-        rows = [((), ())]
-        for i, v in b.support:
-            s = str(i)
-            rows = [(k + ((s, x),), sup + ((i, x),)) if x else (k, sup)
-                    for k, sup in rows for x in range(v + 1)]
-        rows.sort()
-        return [ValNet(m.index_set, sup) for _, sup in rows[1:]]
+        # _net_key compares a support's first pair (str(i), x), then the
+        # rest, which lies over later indices. rows[k] lists the supports
+        # below b over its indices from position k on in that order, the
+        # empty one first: index j in str order, x = 1 .. v_j, then rows[j + 1]
+        sup = b.support
+        by_str = sorted(range(len(sup)), key=lambda j: str(sup[j][0]))
+        rows = [[()] for _ in range(len(sup) + 1)]
+        for k in reversed(range(len(sup))):
+            for j in by_str:
+                if j >= k:
+                    i, v = sup[j]
+                    for x in range(1, v + 1):
+                        head = ((i, x),)
+                        rows[k] += [head + rest for rest in rows[j + 1]]
+        return [_canon_net(m.index_set, s) for s in islice(rows[0], 1, None)]
     # finite-support divisors over the next `depth` indices, of total mass
     # at most depth, then those that keep the tail
     idxs = _tail_window(b, depth)
@@ -486,7 +540,7 @@ def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = DEFAULT_DEPTH) -> list
             for rest in below(pos + 1, budget - v):
                 yield ((i, v),) + rest if v else rest
     # the first support below is the zero net's
-    out = [ValNet(m.index_set, sup) for sup in islice(below(0, depth), 1, _DIVISOR_CAP + 1)]
+    out = [_canon_net(m.index_set, sup) for sup in islice(below(0, depth), 1, _DIVISOR_CAP + 1)]
     out += [b] + [net_sub(b, e_net(m.index_set, i)) for i in idxs]
     return sorted(set(out), key=_net_key)
 
@@ -521,7 +575,7 @@ def S_b(m: NetMonoid, b: ValNet, depth: int = DEFAULT_DEPTH) -> set:
         finite_top = sum(map(b.value_at, _tail_window(b, depth)))
         return set(range(1, finite_top + 1)) | {inf}
     t = _table(m, b)
-    return {length(t.net(d)) for d in t.divisors(t.vec(b))}
+    return t.lengths(t.divisors(t.vec(b)))
 
 
 def inf_S_b(m: NetMonoid, b: ValNet, depth: int = DEFAULT_DEPTH):
@@ -883,7 +937,6 @@ def parse_net(m, text: str) -> ValNet:
     if text == "0":
         return zero_net(iset)
     vals: dict = {}
-    tail, at_inf = 0, None
     for item in text.split(","):
         if not item.strip():
             continue
@@ -892,13 +945,13 @@ def parse_net(m, text: str) -> ValNet:
             raise ValueError(f"bad net component {item!r}; want idx:value")
         key = key.strip()
         v = parse_value(val)
-        if key == "tail":
-            tail = v
-        elif key == INF_INDEX:
-            at_inf = v
-        else:
-            idx = int(key) if iset.kind == "omega_plus_point" else key
-            vals[idx] = v
+        if key not in ("tail", INF_INDEX) and iset.kind == "omega_plus_point":
+            key = int(key)
+        if key in vals:
+            raise ValueError(f"{key} is given twice in net {text!r}")
+        vals[key] = v
+    tail = vals.pop("tail", 0)
+    at_inf = vals.pop(INF_INDEX, None)
     return make_net(iset, vals, tail=tail, at_infinity=at_inf)
 
 

@@ -411,6 +411,17 @@ def test_valnet_usage_errors(capsys, seq_file):
     assert code == 1
 
 
+@pytest.mark.parametrize("file, net, key", [("m2.net", "M1:1,M1:2", "M1"),
+                                             ("seq.net", "1:1,1:2", "1"),
+                                             ("seq.net", "1:1,tail:1,tail:1", "tail"),
+                                             ("seq.net", "inf:1,inf:1", "inf")])
+def test_valnet_repeated_index_is_a_usage_error(capsys, file, net, key):
+    # the last value used to win: M1:1,M1:2 listed the divisors of (M1:2)
+    code, out, err = run(capsys, "valnet", str(GOLDEN_CLI / file), "divisors", net)
+    assert code == 1 and out == ""
+    assert f"usage error: {key} is given twice in net '{net}'" in err
+
+
 @pytest.mark.parametrize("query", ["accp", "comax"])
 @pytest.mark.parametrize("k", ["0", "-2", "x"])
 def test_valnet_count_must_be_positive(capsys, query, k):

@@ -4,7 +4,7 @@ factorization outcomes, covers, and the eps-flagged ideal norms.
 
 import inspect
 import time
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -141,6 +141,39 @@ def test_str_forms():
     assert str(zero_net(OMEGA)) == "(tail:0, inf:0)"
     assert str(fnet(2, 0)) == "(M1:2)"
     assert str(zero_net(FIN)) == "(0)"
+
+
+def _same_net(x, y):
+    return x == y and y == x and hash(x) == hash(y) and str(x) == str(y) and repr(x) == repr(y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=omega_nets())
+@example(x=make_net(DENSE_POINT, {2: 1}, tail=1, at_infinity=Fraction(3, 2)))
+@example(x=make_net(MIX, {"M1": Fraction(1, 2), "M2": 3}))
+@example(x=zero_net(FIN))
+def test_fast_constructor_builds_the_make_net_net(x):
+    y = vn._canon_net(x.index_set, x.support, x.tail, x.at_infinity)
+    assert type(y) is ValNet and _same_net(x, y)
+    assert [f.name for f in fields(y)] == ["index_set", "support", "tail", "at_infinity"]
+    for f in fields(y):
+        with pytest.raises(FrozenInstanceError):
+            setattr(y, f.name, getattr(y, f.name))
+
+
+def test_listed_nets_equal_their_make_net_rebuild():
+    # the divisor lists and the member tables build their nets without
+    # make_net; each must be the net make_net gives for its values
+    dense = generated_monoid(DENSE_THIRDS, [make_net(DENSE_THIRDS, a) for a in DENSE_ATOMS])
+    m_omega, b_omega = _omega(DENSE_POINT, [({1: 0}, 1, Fraction(1, 2)), ({}, 0, Fraction(1, 3)),
+                                            ({3: 2},)], ({1: 0, 3: 3}, 1, Fraction(7, 6)))
+    cases = [(SEQ, B23), (SEQ, make_net(OMEGA, {2: 1, 10: 2})), (SEQ, W1), (M2, fnet(6, 4)),
+             (dense, make_net(DENSE_THIRDS, {"X": Fraction(11, 6), "Y": 3})), (m_omega, b_omega)]
+    for m, b in cases:
+        divs = monoid_divisors(m, b, 4)
+        assert divs
+        for d in divs:
+            assert _same_net(d, make_net(d.index_set, dict(d.support), d.tail, d.at_infinity))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +354,40 @@ def test_zero_tail_divisors_sort_indices_as_strings():
     # _net_key compares str(i), so index 10 sorts before index 2
     assert [str(d) for d in monoid_divisors(SEQ, parse_net(SEQ, "2:1,10:1"))] == [
         "(10:1, tail:0, inf:0)", "(2:1, tail:0, inf:0)", "(2:1, 10:1, tail:0, inf:0)"]
+
+
+def _sorted_rows_divisors(b):
+    """Oracle: the zero-tail listing that sorted, one row per support built
+    beside its _net_key, extended one index at a time, sorted once."""
+    rows = [((), ())]
+    for i, v in b.support:
+        s = str(i)
+        rows = [(k + ((s, x),), sup + ((i, x),)) if x else (k, sup)
+                for k, sup in rows for x in range(v + 1)]
+    rows.sort()
+    return [ValNet(b.index_set, sup) for _, sup in rows[1:]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(vals=st.dictionaries(st.integers(1, 25), st.integers(1, 3), min_size=1, max_size=5))
+@example(vals={2: 1, 10: 1, 25: 2})
+@example(vals={1: 1, 3: 2, 12: 1, 20: 3, 9: 1})
+def test_zero_tail_divisors_in_key_order_match_sorted_rows(vals):
+    # indices 10-19 sort before 2, and 20-25 between 2 and 3
+    b = make_net(OMEGA, vals)
+    assert monoid_divisors(SEQ, b) == _sorted_rows_divisors(b)
+
+
+def test_zero_tail_divisors_of_four_nines_and_past_the_cap(monkeypatch):
+    b = parse_net(SEQ, "1:9,2:9,3:9,4:9")
+    divs = monoid_divisors(SEQ, b)
+    assert len(divs) == 9999 and divs == _sorted_rows_divisors(b)
+    # 11**4 - 1 = 14,640 divisors: refused before a single net is built
+    past_cap = parse_net(SEQ, "1:10,2:10,3:10,4:10")
+    monkeypatch.setattr(vn, "_canon_net", None)
+    with pytest.raises(CapExceeded) as err:
+        monoid_divisors(SEQ, past_cap)
+    assert err.value.cap == 10_000 and "14640 divisors" in str(err.value)
 
 
 def test_zero_tail_divisor_cap_boundary(monkeypatch):
@@ -984,6 +1051,47 @@ def _check_table_against_bfs(m, b, depth):
     assert [f.atoms for f in net_factorizations(m, b)] == _bfs_factorizations(mem, b)
 
 
+HALVES = finite_indices("X:dense", "Y:dense")
+
+
+def _typed(values):
+    return {(type(v), v) for v in values}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(small_generated(), small_omega_generated()))
+@example(case=_case(HALVES, ({"X": Fraction(1, 2)}, {"Y": Fraction(1, 2)}, {"X": 1}),
+                    (3, 1, 0), 0, 8))
+@example(case=_case(DENSE_THIRDS, DENSE_ATOMS, (2, 3, 1), 0, 8))
+@example(case=(*_omega(DENSE_POINT, [({1: 0}, 1, Fraction(1, 2)), ({}, 0, Fraction(1, 3)),
+                                     ({3: 2},)], ({1: 0, 3: 3}, 1, Fraction(7, 6))), 8))
+def test_s_b_is_the_length_set_of_the_divisor_nets(case):
+    # equal in value and in type: the halves of two dense labels sum to
+    # Fraction(1), which S_b must not turn into the int 1, nor the reverse
+    m, b, depth = case
+    t = vn._Table(m, b)
+    nets = [t.net(d) for d in t.divisors(t.vec(b))]
+    assert _typed(S_b(m, b, depth)) == _typed({length(d) for d in nets})
+    if m.index_set == HALVES:
+        assert {(int, 1), (Fraction, 1)} <= _typed(length(d) for d in nets)
+
+
+def test_length_sets_build_no_nets(monkeypatch):
+    calls = []
+    net = vn._Table.net
+    monkeypatch.setattr(vn._Table, "net", lambda t, v: calls.append(v) or net(t, v))
+    dense = generated_monoid(DENSE_THIRDS, [make_net(DENSE_THIRDS, a) for a in DENSE_ATOMS])
+    m_omega, b_omega = _omega(DENSE_POINT, [({1: 0}, 1, Fraction(1, 2)), ({}, 0, Fraction(1, 3)),
+                                            ({3: 2},)], ({3: 4}, 0, Fraction(2, 3)))
+    for m, b in ((M2, fnet(6, 4)), (dense, make_net(DENSE_THIRDS, {"X": Fraction(11, 6), "Y": 3})),
+                 (m_omega, b_omega)):
+        assert S_b(m, b) and inf_S_b(m, b) > 0 and bfd_bound(m, b) >= 1
+        assert calls == []
+    # the wrapper does see the nets a divisor list builds
+    monoid_divisors(M2, fnet(6, 4))
+    assert calls
+
+
 def test_one_member_table_per_factorization_call(table_builds):
     triple = finite_indices("P", "Q", "R")
     m = generated_monoid(triple, [parse_net(triple, text) for text in (
@@ -1077,6 +1185,20 @@ def test_parse_net_sparse():
         parse_net(M2, "M9:1")
 
 
+@pytest.mark.parametrize("m, text, key", [
+    (M2, "M1:1,M1:2", "M1"),
+    (SEQ, "1:1, 3:2, 1:2", "1"),
+    (SEQ, "01:1,1:1", "1"),
+    (SEQ, "tail:1,2:1,tail:0", "tail"),
+    (SEQ, "inf:1,inf:1", "inf"),
+    (M2, "M1:1,inf:0,inf:0", "inf"),
+])
+def test_parse_net_refuses_a_repeated_index(m, text, key):
+    # the last value used to win silently
+    with pytest.raises(ValueError, match=f"^{key} is given twice in net "):
+        parse_net(m, text)
+
+
 def test_load_net_monoid_generated(tmp_path):
     p = tmp_path / "mono.valnet"
     p.write_text(
@@ -1115,4 +1237,7 @@ def test_load_net_monoid_errors(tmp_path):
         load_net_monoid(p)
     p.write_text("frobnicate 3\n", encoding="utf-8")
     with pytest.raises(ValueError):
+        load_net_monoid(p)
+    p.write_text("indexset finite A B\nkind generated\natom A:1,A:2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="A is given twice"):
         load_net_monoid(p)
