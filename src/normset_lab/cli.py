@@ -288,7 +288,7 @@ def _cmd_valnet(args):
     if op == "sb":
         vals = vn.S_b(m, b, depth)
         return {**base, "S_b": sorted(vals, key=lambda v: (v == inf, v)),
-                "inf_S_b": vn.inf_S_b(m, b, depth)}, EXIT_OK
+                "inf_S_b": min(vals) if vals else None}, EXIT_OK
     if op == "bfd":
         return {**base, "bfd_bound": vn.bfd_bound(m, b, depth)}, EXIT_OK
     if op == "factor":

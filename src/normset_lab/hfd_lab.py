@@ -6,10 +6,11 @@ number 3 or more always has an element with factorizations of two lengths
 (found here by scanning the element window; such witnesses live at tiny
 sizes). Elasticity of a maximal order comes from the Davenport constant of
 the class group, again exactly. For non-maximal orders Z[n*xi] with n >= 2
-a direct witness construction settles every case except (d, n) = (-3, 2),
-the one non-maximal half-factorial order; that case is certified by an
-exhaustive window check plus the unit-orbit argument recorded in the
-verdict's method field, and the verdict is whatever that one window says.
+a direct witness construction settles every case except d = -3. There
+(d, n) = (-3, 2), the one non-maximal half-factorial order (Halter-Koch,
+"Factorization of algebraic integers", Graz report 191, 1983), is hfd by a
+conductor lemma whose three hypotheses are computed (_conductor_lemma_holds),
+with no element search, and n >= 3 gets a witness from the window scan.
 Window scans stream elements by size and stop at the first witness. Every
 search runs on the integer element kernel (quadratic._element_kernel) over
 (a, b) pairs; only the witnesses returned become QuadElem.
@@ -26,12 +27,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .arith import is_squarefree
+from .arith import is_squarefree, kronecker
 from .class_groups import class_group, class_number
 from .errors import BadDiscriminant, WitnessSearchExhausted
 from .monoid_core import FactorSession, WindowVerdict, davenport, is_hfm_window
 from .quadratic import (QuadElem, QuadraticOrder, _as_elements, _element_kernel,
-                        factor_element, order_of)
+                        factor_element, order_of, units)
 
 # all known witnesses sit at window size <= ~100; the default leaves margin
 HFD_WITNESS_BOUND = 10_000
@@ -111,6 +112,25 @@ def bounded_hfd_check(order: QuadraticOrder, B: int) -> WindowVerdict:
                                     _as_elements(order, long_)))
 
 
+def _conductor_lemma_holds() -> bool:
+    """The hypotheses under which O = Z[sqrt(-3)] = Z + 2*Z[w] is
+    half-factorial, w = (1+sqrt(-3))/2: Z[w] is a UFD (h(-3) = 1), 2 is
+    inert in it (so Z[w]/2 = F_4), and [Z[w]^x : O^x] = 3 = |F_4^x|.
+
+    Then the six units of Z[w] map onto F_4^x, so each x in Z[w] prime to 2
+    has exactly one associate +-w^j*x in O (the one = 1 mod 2), and 2*Z[w]
+    lies in O. The atoms of O, up to sign, are the primes pi != 2 of Z[w]
+    normalized into O, and 2, 2w, 2w^2 (norm 4; no element has norm 2). So
+    an x = 2^k*y, 2 not dividing y, has exactly k atoms of the second kind
+    in every factorization and L(x) = {lambda(N(x))}, lambda additive with
+    lambda(p) = 1 for p = 3 and p = 1 (mod 3), 1/2 for p = 2 (mod 3).
+    Geroldinger & Halter-Koch, Non-Unique Factorizations (2006, 3.7), set
+    this in the theory of orders and their conductors.
+    """
+    return (class_number(-3) == 1 and kronecker(-3, 2) == -1
+            and len(units(order_of(-3))) == 3 * len(units(order_of(-3, 2))))
+
+
 def order_hfd_witness(d: int, n: int) -> HfdVerdict:
     """Verdict for the non-maximal order Z[n*xi], n >= 2.
 
@@ -118,10 +138,10 @@ def order_hfd_witness(d: int, n: int) -> HfdVerdict:
     (or n+ni when d = -1) is irreducible, and the integer w*conj(w) then
     factors both through the conjugate pair (length 2) and through rational
     integers (length >= 3). For d = -3 the norm of n*xi is n^2, whose
-    integer route is also length 2, so the construction is silent; n >= 3
-    falls back to the window scan, and n = 2 is the genuine exception, hfd
-    as long as its window of size 400 finds no witness. Raises
-    WitnessSearchExhausted when the construction yields no witness.
+    integer route is also length 2, so the construction is silent. n = 2 is
+    hfd by the conductor lemma (_conductor_lemma_holds), with no search;
+    n >= 3, and n = 2 should a hypothesis of the lemma fail, go to the window
+    scan. Raises WitnessSearchExhausted when no witness turns up.
     """
     if d >= 0 or not is_squarefree(d):
         raise BadDiscriminant(f"d = {d} must be negative and squarefree")
@@ -129,13 +149,12 @@ def order_hfd_witness(d: int, n: int) -> HfdVerdict:
         raise ValueError("maximal orders go through carlitz_verdict")
     order = order_of(d, n)
     if d == -3:
-        bound = 400 if n == 2 else HFD_WITNESS_BOUND
-        chk = bounded_hfd_check(order, bound)
-        if chk.holds and n == 2:
+        if n == 2 and _conductor_lemma_holds():
             return HfdVerdict(order, "hfd", method="order_argument")
+        chk = bounded_hfd_check(order, HFD_WITNESS_BOUND)
         if chk.holds:
             raise WitnessSearchExhausted(
-                f"no two-length element in {order} at window size <= {bound}")
+                f"no two-length element in {order} at window size <= {HFD_WITNESS_BOUND}")
         x, short, long_ = chk.witness
         return HfdVerdict(order, "not_hfd", (short, long_), x, "direct_window")
 
@@ -205,9 +224,9 @@ class ClassificationReport:
 
 def classification_check() -> ClassificationReport:
     """Recompute the complete imaginary quadratic HFD classification:
-    maximal orders by class number, Z[sqrt(-3)] by window + order argument,
-    and every other non-maximal order (|d| <= 50, n <= 5) by explicit
-    witness.
+    maximal orders by class number, Z[sqrt(-3)] by the conductor lemma
+    (no window), and every other non-maximal order (|d| <= 50, n <= 5) by
+    explicit witness.
     """
     rows = []
     for d in UFD_DS:

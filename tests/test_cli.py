@@ -347,6 +347,20 @@ def test_valnet_sb_and_accp(capsys, seq_file):
     assert rec["chain"][0] == "(1:0, tail:1, inf:1)"
 
 
+@pytest.mark.parametrize("which,net,low", [
+    ("seq", "1:2,3:3", 1), ("seq", "1:2,inf:1", None), ("gen", "M1:6,M2:4", 2)])
+def test_valnet_sb_computes_s_b_once(capsys, monkeypatch, seq_file, gen_file,
+                                     which, net, low):
+    # inf_S_b is read off the one length set, not computed again
+    calls = []
+    s_b = vn.S_b
+    monkeypatch.setattr(vn, "S_b", lambda *a: calls.append(a) or s_b(*a))
+    path = seq_file if which == "seq" else gen_file
+    code, rec, _ = run_json(capsys, "valnet", path, "sb", net)
+    assert code == 0 and len(calls) == 1
+    assert rec["inf_S_b"] == low
+
+
 def test_valnet_accp_ignores_depth(capsys, gen_file):
     # (40, 40) needs 40 atoms, more than any of these depths
     outs = [run_json(capsys, "valnet", gen_file, "accp", "M1:40,M2:40", "3", *extra)

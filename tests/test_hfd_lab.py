@@ -20,8 +20,9 @@ from normset_lab import (
 )
 from normset_lab import hfd_lab
 from normset_lab.hfd_lab import HFD_DS, UFD_DS
-from normset_lab.monoid_core import FactorMultiset, WindowVerdict
-from normset_lab.quadratic import QuadElem, canonical_associate
+from normset_lab.arith import factorize
+from normset_lab.monoid_core import FactorMultiset, FactorSession, WindowVerdict
+from normset_lab.quadratic import QuadElem, _element_kernel, canonical_associate
 
 
 def _remultiplies(verdict) -> bool:
@@ -133,14 +134,67 @@ def test_order_witness_d_minus_3_window():
     assert _remultiplies(v)
 
 
+def _lam(N: int) -> Fraction:
+    # lambda(p) = 1 for p = 3 and p = 1 mod 3, 1/2 for p = 2 mod 3
+    return sum((Fraction(e, 2) if p % 3 == 2 else Fraction(e)
+                for p, e in factorize(N)), Fraction(0))
+
+
+def test_exception_pair_lengths_are_lambda_of_the_norm():
+    # the conductor lemma's length formula, checked element by element
+    order = order_of(-3, 2)
+    kernel = _element_kernel(order)
+    session = FactorSession(kernel)
+    elements = list(kernel.elements_up_to(600))
+    assert len(elements) == 1119
+    for x in elements:
+        assert session.lengths(x) == {_lam(QuadElem(order, *x).norm())}, x
+
+
+def test_exception_pair_runs_no_window(monkeypatch):
+    exception = order_of(-3, 2)
+    bounded, window = hfd_lab.bounded_hfd_check, hfd_lab.is_hfm_window
+    scanned = []
+
+    def no_window_for_the_exception(order, B):
+        if order == exception:
+            raise AssertionError("window scan for Z[sqrt(-3)]")
+        return bounded(order, B)
+
+    monkeypatch.setattr(hfd_lab, "bounded_hfd_check", no_window_for_the_exception)
+    monkeypatch.setattr(hfd_lab, "is_hfm_window",
+                        lambda view, B: scanned.append(view.name) or window(view, B))
+    v = order_hfd_witness(-3, 2)
+    assert (v.verdict, v.method, v.witness, v.element) == ("hfd", "order_argument", None, None)
+    report = classification_check()
+    assert len(report) == 151 and report.ok
+    assert f"elements of {exception}" not in scanned
+    assert len(scanned) == 3  # the d = -3, n = 3, 4, 5 windows
+
+
 def test_order_witness_exception_pair_reports_failed_window(monkeypatch):
+    # with a hypothesis of the conductor lemma broken, (-3, 2) goes to the window
     x = order_of(-3, 2).element(4, 0)
     short, long_ = FactorMultiset((x,)), FactorMultiset((x, x))
+    monkeypatch.setattr(hfd_lab, "class_number", lambda disc: 2)
     monkeypatch.setattr(hfd_lab, "bounded_hfd_check",
                         lambda order, B: WindowVerdict(False, B, (x, short, long_)))
     v = order_hfd_witness(-3, 2)
     assert v.verdict == "not_hfd" and v.method == "direct_window"
     assert v.element == x and v.witness == (short, long_)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("class_number", lambda disc: 2),
+    ("kronecker", lambda a, n: 1),
+    ("units", lambda order: range(4 if order.is_maximal else 2)),  # index 2
+])
+def test_exception_pair_without_the_lemma_is_no_verdict(monkeypatch, name, value):
+    # a window that holds proves nothing past its size
+    monkeypatch.setattr(hfd_lab, name, value)
+    monkeypatch.setattr(hfd_lab, "bounded_hfd_check", lambda order, B: WindowVerdict(True, B))
+    with pytest.raises(WitnessSearchExhausted, match="no two-length element"):
+        order_hfd_witness(-3, 2)
 
 
 def test_order_witness_split_generator_raises(monkeypatch):

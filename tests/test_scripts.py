@@ -1,4 +1,5 @@
-"""Smoke tests for the scripts in scripts/: each runs in its own process.
+"""Smoke tests for the scripts in scripts/ and for `python -m normset_lab`:
+each runs in its own process.
 
 The sequence-domain demo is deterministic (its random draws are seeded), so
 its output is compared byte for byte with tests/golden, as is the normset
@@ -14,12 +15,16 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def _run(*args: str) -> str:
+def _spawn(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _run(*args: str) -> str:
+    done = _spawn(*args)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -45,3 +50,9 @@ def test_normset_explorer_matches_golden():
 def test_sequence_domain_demo_matches_golden():
     out = _run("scripts/sequence_domain_demo.py")
     assert out == (GOLDEN / "sequence_domain_demo.txt").read_text(encoding="utf-8")
+
+
+def test_python_m_normset_lab_matches_golden():
+    done = _spawn("-m", "normset_lab", "hfd", "--d", "-3", "--n", "2", "--format", "json")
+    expected = (GOLDEN / "cli" / "hfd_-3_2.out").read_text(encoding="utf-8")
+    assert f"exit: {done.returncode}\n{done.stdout}" == expected, done.stderr
