@@ -4,8 +4,8 @@
 Maximal orders are classified by class number (h = 1 exactly the nine
 UFD fields, h = 2 the eighteen half-factorial ones); every non-maximal
 order Z[n*xi] with |d| <= 50, 2 <= n <= 5 carries an explicit witness,
-except Z[sqrt(-3)] which is certified half-factorial by a window sweep
-plus the unit-index argument.
+except Z[sqrt(-3)], which is proved half-factorial by the conductor lemma
+(h(-3) = 1, 2 inert, unit index 3), with no window.
 """
 import argparse
 import json

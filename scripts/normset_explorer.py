@@ -35,21 +35,18 @@ def main() -> int:
     print(f"atoms up to {B} ({len(atoms)}): {atoms}")
 
     # elements whose atom factorizations are not unique, with length spreads
-    collisions = []
-    for m in members:
-        facs = factor_in_normset(ns, m)
-        if len(facs) > 1:
-            lens = sorted({f.length for f in facs})
-            collisions.append((m, len(facs), lens))
+    facs = {m: factor_in_normset(ns, m) for m in members}
+    collisions = [m for m in members if len(facs[m]) > 1]
     if collisions:
         print(f"non-unique members up to {B}:")
-        for m, k, lens in collisions:
-            shapes = sorted(tuple(sorted(f.atoms)) for f in factor_in_normset(ns, m))
-            print(f"  {m}: {k} factorizations, lengths {lens}, {shapes}")
+        for m in collisions:
+            lens = sorted({f.length for f in facs[m]})
+            shapes = sorted(tuple(sorted(f.atoms)) for f in facs[m])
+            print(f"  {m}: {len(facs[m])} factorizations, lengths {lens}, {shapes}")
     else:
         print(f"every member up to {B} factors uniquely")
 
-    spread = Counter(len(factor_in_normset(ns, m)) for m in members)
+    spread = Counter(map(len, facs.values()))
     print(f"factorization-count profile: {dict(sorted(spread.items()))}")
 
     view = normset_monoid_view(ns)

@@ -30,11 +30,7 @@ class CapExceeded(NormsetLabError):
 
 
 class SearchBudgetExceeded(NormsetLabError):
-    """A bounded enumeration ran out of budget; partial data may be attached."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A bounded enumeration ran out of budget."""
 
 
 class WitnessSearchExhausted(NormsetLabError):

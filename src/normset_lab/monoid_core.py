@@ -188,8 +188,7 @@ def _davenport_search(g: AbelianGroup, cap: int = 64,
             if len(nxt) > state_budget:
                 raise SearchBudgetExceeded(
                     f"davenport frontier for {g} exceeded {state_budget} "
-                    f"states at multiset size {size + 1}",
-                    partial=size)
+                    f"states at multiset size {size + 1}")
         last, frontier = frontier, nxt
         size += 1
     return size, tuple(coords[k] for k in next(iter(last.values())))
@@ -329,9 +328,7 @@ class FactorSession:
         self.spent += 1
         if self.spent > self.budget:
             raise SearchBudgetExceeded(
-                f"factorization budget {self.budget} exhausted in {self.view.name}",
-                partial=None,
-            )
+                f"factorization budget {self.budget} exhausted in {self.view.name}")
 
     def is_atom(self, x) -> bool:
         hit = self._atom.get(x)

@@ -50,7 +50,6 @@ from .quadratic import (
     divide_exact,
     elements_of_norm,
     exact_real_search_bound,
-    norm_table,
     order_fundamental_unit,
 )
 
@@ -187,13 +186,13 @@ class NormsetHandle:
         """
         order = self.order
         signs = (1,) if order.is_imaginary else (1, -1)
-        if size_bound > self._norms_bound and (
-                order.is_imaginary
-                or exact_real_search_bound(order, size_bound) <= _REAL_SEARCH_CEILING):
-            if self._backend() != "form_search":
-                self._classes = ideal_class_table(_ideal_group(order), size_bound)
-            self._norms = norm_table(order, -size_bound, size_bound)
-            self._norms_bound = size_bound
+        if size_bound > self._norms_bound:
+            b_max = None if order.is_imaginary else exact_real_search_bound(order, size_bound)
+            if b_max is None or b_max <= _REAL_SEARCH_CEILING:
+                if self._backend() != "form_search":
+                    self._classes = ideal_class_table(_ideal_group(order), size_bound)
+                self._norms = _norm_table(order, -size_bound, size_bound, b_max)
+                self._norms_bound = size_bound
         window = [s * k for k in range(2, size_bound + 1) for s in signs]
         if size_bound > self._norms_bound:
             return [m for m in window if self.contains(m).answer == "yes"]

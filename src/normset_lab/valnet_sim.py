@@ -547,7 +547,8 @@ def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = DEFAULT_DEPTH) -> list
 
 def _tail_window(b: ValNet, depth: int) -> list:
     """The indices 1 .. max(support) + depth where b is positive: those the
-    depth-cut divisor list of a positive-tail sequence net reads."""
+    depth-cut divisor list of a positive-tail sequence net reads, and the
+    atoms comaximal_family picks from."""
     hi = max([*b.support_indices(), 0]) + depth
     return [i for i in range(1, hi + 1) if b.value_at(i) > 0]
 
@@ -738,8 +739,7 @@ def comaximal_family(m: NetMonoid, b: ValNet, k: int,
     if k < 1:
         return None
     if m.kind == "sequence_domain":
-        hi = max([*b.support_indices(), 0]) + (k if b.tail > 0 else 0)
-        idxs = [i for i in range(1, hi + 1) if b.value_at(i) > 0]
+        idxs = _tail_window(b, k if b.tail > 0 else 0)
         if len(idxs) < k or not m.contains(b):
             return None
         return [e_net(m.index_set, i) for i in idxs[:k]]
@@ -791,10 +791,11 @@ def idempotent_cover_check(m: NetMonoid) -> bool:
     discrete index. Exact: sums inherit positivity, so checking the atoms
     settles every member. The sequence domain declares no atoms and holds:
     a positive value at the (possibly dense) infinite point forces a
-    positive tail. The atoms are read in the member table's coordinates, so
-    over omega plus a point the tail and the infinite point count too.
+    positive tail. The atoms are read in the coordinates of a member table
+    built here, which leaves the query table of _table in place; over omega
+    plus a point the tail and the infinite point count too.
     """
-    t = _table(m, m.zero())
+    t = _Table(m, m.zero())
     tags = [m.index_set.tag_of(i) for i in t.labels]
     for g in map(t.vec, m.atoms):
         positive = {tag for tag, v in zip(tags, g) if v > 0}
@@ -927,8 +928,6 @@ def parse_net(m, text: str) -> ValNet:
         low = text.lower()
         if low == "q":
             return q_net(iset)
-        if low == "0":
-            return zero_net(iset)
         for pre in ("omega", "w"):
             if low.startswith(pre) and low[len(pre):].isdigit():
                 return omega_net(iset, int(low[len(pre):]))

@@ -1,5 +1,6 @@
 """Source hygiene: every name a module of normset_lab imports is used there,
-and every private module-level function or class is used somewhere.
+every private module-level function or class is used somewhere, and every
+attribute a module assigns on self is read somewhere.
 
 Stdlib-only static checks over the package sources. The package's
 __init__ is exempt from the import check, since its imports are its public
@@ -13,6 +14,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "normset_lab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = PACKAGE.parent.parent
+READERS = sorted(p for top in ("src", "tests", "scripts", "perfbench")
+                 for p in (ROOT / top).rglob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -100,3 +104,41 @@ def test_check_sees_an_orphaned_helper():
                        "def f():\n    return a._used()\n"),
     }
     assert _orphans(trees) == {"a._orphan", "a._Alone"}
+
+
+def _write_only(package: dict[str, ast.Module], readers: list[ast.Module]) -> set[str]:
+    """The attributes a package module assigns on self that no reader tree
+    reads: a read is a load of the attribute name, on any object, or an
+    augmented assignment to it."""
+    reads = set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                reads.add(node.target.attr)
+    return {f"{mod}.{node.attr}" for mod, tree in package.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+            and node.attr not in reads}
+
+
+def test_no_attribute_is_write_only():
+    package = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+               for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [ast.parse(p.read_text(encoding="utf-8")) for p in READERS]
+    assert not _write_only(package, readers)
+
+
+def test_check_sees_a_write_only_attribute():
+    package = {"a": ast.parse("class A:\n"
+                              "    def __init__(self):\n"
+                              "        self.read, self.dropped = 1, 2\n"
+                              "        self.counted = self.elsewhere = 0\n"
+                              "        other.stored = 3\n"
+                              "    def tick(self):\n"
+                              "        self.counted += 1\n"
+                              "        return self.read\n")}
+    readers = [*package.values(), ast.parse("def f(a):\n    return a.elsewhere\n")]
+    assert _write_only(package, readers) == {"a.dropped"}
+    assert _write_only(package, list(package.values())) == {"a.dropped", "a.elsewhere"}

@@ -245,7 +245,9 @@ def test_ideal_backend_window_refuses_non_maximal_orders(d, n):
 ])
 def test_policy_both_cross_checks_the_whole_window(monkeypatch, d, builder,
                                                    dropped, error):
-    build = getattr(normsets, builder)
+    # the window builds its norm table through _norm_table, its bound in hand
+    name = "_norm_table" if builder == "norm_table" else builder
+    build = getattr(normsets, name)
 
     def doctored(arg, *bounds):
         table = build(arg, *bounds)
@@ -256,16 +258,16 @@ def test_policy_both_cross_checks_the_whole_window(monkeypatch, d, builder,
             del table[dropped]
         return table
 
-    monkeypatch.setattr(normsets, builder, doctored)
+    monkeypatch.setattr(normsets, name, doctored)
     with pytest.raises(AssertionError, match=error):
         NormsetHandle(order_of(d), policy="both").members_up_to(60)
 
 
 def test_windows_make_no_per_norm_searches(monkeypatch):
     # a search for one norm runs elements_of_norm or _norm_table(order, m, m,
-    # exact bound), so the only table builds are the two windows'
-    calls = {"elements_of_norm": [], "ideal_class_options": [], "norm_table": [],
-             "_norm_table": []}
+    # exact bound), so the only table builds are the two windows', each with
+    # the bound it holds
+    calls = {"elements_of_norm": [], "ideal_class_options": [], "_norm_table": []}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(normsets, name), **kwargs):
             calls[_name].append(args[1:])
@@ -273,8 +275,29 @@ def test_windows_make_no_per_norm_searches(monkeypatch):
         monkeypatch.setattr(normsets, name, counted)
     assert irreducibles_up_to(normset_of(order_of(-23)), 400)
     assert irreducibles_up_to(normset_of(order_of(34)), 300)
-    assert calls == {"elements_of_norm": [], "ideal_class_options": [],
-                     "norm_table": [(-400, 400), (-300, 300)], "_norm_table": []}
+    assert calls == {"elements_of_norm": [], "ideal_class_options": [], "_norm_table": [
+        (-400, 400, None), (-300, 300, exact_real_search_bound(order_of(34), 300))]}
+
+
+def test_window_solves_its_exact_bound_once(monkeypatch):
+    # the ceiling test's bound is the one the norm table is built at, and a
+    # smaller window on the same handle reads the tables without a bound
+    order = order_of(34)
+    fresh = normset_of(order)
+    loop = [s * k for k in range(2, 301) for s in (1, -1)
+            if fresh.contains(s * k).answer == "yes"]
+    calls = []
+
+    def counted(o, k, _fn=exact_real_search_bound):
+        calls.append(k)
+        return _fn(o, k)
+
+    monkeypatch.setattr(normsets, "exact_real_search_bound", counted)
+    monkeypatch.setattr(quadratic, "exact_real_search_bound", counted)
+    ns = normset_of(order)
+    assert ns.members_up_to(300) == loop
+    assert ns.members_up_to(100) == [m for m in loop if abs(m) <= 100]
+    assert calls == [300]
 
 
 @pytest.mark.parametrize("d,n,m,policy,answer,witness", [

@@ -9,6 +9,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import inf
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -581,6 +582,18 @@ def test_accp_chain_of_one_needs_no_enumeration(table_builds):
     # (40, 40) needs 40 atoms, and the table holds them all
     assert accp_chain(M2, fnet(40, 40), 2) == [fnet(40, 40), fnet(1, 1)]
     assert len(table_builds) == 1
+
+
+def test_idempotent_cover_check_keeps_the_query_table(table_builds):
+    # the check reads the atoms in a table of its own, so the query table
+    # of the last net is still there for the next query on it
+    m = load_net_monoid(Path(__file__).parent / "golden" / "cli" / "m2.net")
+    b = parse_net(m, "M1:3,M2:3")
+    lengths = S_b(m, b)
+    assert idempotent_cover_check(m)
+    assert S_b(m, b) == lengths
+    assert len(table_builds) == 2
+    assert [args[1] for args in table_builds] == [b, m.zero()]
 
 
 def _accp_dfs(m, b, k):
