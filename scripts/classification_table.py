@@ -8,7 +8,6 @@ except Z[sqrt(-3)], which is proved half-factorial by the conductor lemma
 (h(-3) = 1, 2 inert, unit index 3), with no window.
 """
 import argparse
-import json
 import signal
 import time
 
@@ -19,7 +18,6 @@ signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # behave under `| head`
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--json", action="store_true", help="emit one record per row")
     ap.add_argument("--failures-only", action="store_true")
     args = ap.parse_args()
 
@@ -28,15 +26,11 @@ def main() -> int:
     dt = time.perf_counter() - t0
 
     rows = [r for r in report.rows if not (args.failures_only and r.ok)]
-    if args.json:
-        for r in rows:
-            print(json.dumps(r.to_record(), sort_keys=True))
-    else:
-        print(f"{'d':>5} {'n':>2}  {'expected':<9} {'computed':<9} ok  witness")
-        for r in rows:
-            wit = "" if r.witness is None else str(r.witness)
-            mark = "+" if r.ok else "FAIL"
-            print(f"{r.d:>5} {r.n:>2}  {r.expected:<9} {r.computed:<9} {mark:<4} {wit}")
+    print(f"{'d':>5} {'n':>2}  {'expected':<9} {'computed':<9} ok  witness")
+    for r in rows:
+        wit = "" if r.witness is None else str(r.witness)
+        mark = "+" if r.ok else "FAIL"
+        print(f"{r.d:>5} {r.n:>2}  {r.expected:<9} {r.computed:<9} {mark:<4} {wit}")
     tally: dict[str, int] = {}
     for r in report.rows:
         tally[r.expected] = tally.get(r.expected, 0) + 1

@@ -120,7 +120,7 @@ def _cmd_normset(args):
     if args.normset_op == "member":
         v = ns.contains(args.value, args.bound)
         payload = {"command": "normset member", "order": order,
-                   "value": args.value, **v.to_record()}
+                   "value": args.value, **vars(v)}
         return payload, EXIT_UNKNOWN if v.answer == "unknown" else EXIT_OK
     if args.normset_op == "atoms":
         atoms = irreducibles_up_to(ns, args.bound)
@@ -166,7 +166,7 @@ def _cmd_saturation(args):
         "command": "saturation",
         "order": order,
         "saturated": is_saturated(order),
-        "strict_window": strict.to_record(),
+        "strict_window": dict(vars(strict)),
     }, EXIT_OK
 
 
@@ -190,7 +190,9 @@ def _cmd_hfd(args):
 
 def _cmd_classify_hfd(args):
     report = classification_check()
-    rows = report.to_records()
+    # a witness prints as its two factorizations' strings
+    rows = [{**vars(r), "witness": None if r.witness is None else [str(f) for f in r.witness]}
+            for r in report]
     counts: dict[str, int] = {}
     for r in report:
         counts[r.expected] = counts.get(r.expected, 0) + 1

@@ -76,13 +76,9 @@ def carlitz_verdict(order: QuadraticOrder,
         return HfdVerdict(order, "ufd", method="carlitz")
     if h == 2:
         return HfdVerdict(order, "hfd", method="carlitz")
-    hit = bounded_hfd_check(order, witness_bound)
-    if hit.holds:
-        raise WitnessSearchExhausted(
-            f"h={h} makes {order} not half-factorial, but no witness "
-            f"appeared at window size <= {witness_bound}")
-    x, short, long_ = hit.witness
-    return HfdVerdict(order, "not_hfd", (short, long_), x, "carlitz")
+    return _window_witness(order, witness_bound, "carlitz",
+                           f"h={h} makes {order} not half-factorial, but no witness "
+                           f"appeared at window size <= {witness_bound}")
 
 
 def elasticity_via_davenport(order: QuadraticOrder) -> Fraction:
@@ -110,6 +106,19 @@ def bounded_hfd_check(order: QuadraticOrder, B: int) -> WindowVerdict:
     x, short, long_ = chk.witness
     return WindowVerdict(False, B, (QuadElem(order, *x), _as_elements(order, short),
                                     _as_elements(order, long_)))
+
+
+def _window_witness(order: QuadraticOrder, B: int, method: str,
+                    exhausted: str) -> HfdVerdict:
+    """The not_hfd verdict carrying the window scan's witness at size B; a
+    window that holds proves nothing and raises WitnessSearchExhausted with
+    the message `exhausted`.
+    """
+    chk = bounded_hfd_check(order, B)
+    if chk.holds:
+        raise WitnessSearchExhausted(exhausted)
+    x, short, long_ = chk.witness
+    return HfdVerdict(order, "not_hfd", (short, long_), x, method)
 
 
 def _conductor_lemma_holds() -> bool:
@@ -151,12 +160,9 @@ def order_hfd_witness(d: int, n: int) -> HfdVerdict:
     if d == -3:
         if n == 2 and _conductor_lemma_holds():
             return HfdVerdict(order, "hfd", method="order_argument")
-        chk = bounded_hfd_check(order, HFD_WITNESS_BOUND)
-        if chk.holds:
-            raise WitnessSearchExhausted(
-                f"no two-length element in {order} at window size <= {HFD_WITNESS_BOUND}")
-        x, short, long_ = chk.witness
-        return HfdVerdict(order, "not_hfd", (short, long_), x, "direct_window")
+        return _window_witness(
+            order, HFD_WITNESS_BOUND, "direct_window",
+            f"no two-length element in {order} at window size <= {HFD_WITNESS_BOUND}")
 
     w = order.element(n, 1) if d == -1 else order.element(0, 1)
     # one session: factoring N(w) reuses the divisor norms the atom test
@@ -192,13 +198,6 @@ class ClassificationRow:
     ok: bool
     witness: Any = None
 
-    def to_record(self) -> dict:
-        w = self.witness
-        if w is not None and not isinstance(w, (int, str)):
-            w = [str(t) for t in w] if isinstance(w, tuple) else str(w)
-        return {"d": self.d, "n": self.n, "expected": self.expected,
-                "computed": self.computed, "ok": self.ok, "witness": w}
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -213,9 +212,6 @@ class ClassificationReport:
 
     def __len__(self):
         return len(self.rows)
-
-    def to_records(self) -> list[dict]:
-        return [r.to_record() for r in self.rows]
 
     def __str__(self):
         good = sum(r.ok for r in self.rows)

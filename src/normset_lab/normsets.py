@@ -79,22 +79,6 @@ class Verdict:
     def __bool__(self):
         return self.answer == "yes"
 
-    def to_record(self) -> dict:
-        def enc(v):
-            if v is None or isinstance(v, (int, str, bool)):
-                return v
-            if isinstance(v, (list, tuple)):
-                return [enc(t) for t in v]
-            return str(v)
-
-        return {
-            "query": enc(self.query),
-            "answer": self.answer,
-            "witness": enc(self.witness),
-            "bound_used": self.bound_used,
-            "backend": self.backend,
-        }
-
     def __str__(self):
         extra = "" if self.witness is None else f", witness {self.witness}"
         return f"{self.answer}{extra} [{self.backend}]"
@@ -111,15 +95,16 @@ class NormsetHandle:
 
     Besides its verdict memo, a handle holds the window tables that
     members_up_to(B) fills for every 2 <= |m| <= B: always a norm table of
-    the element backend (quadratic.norm_table(order, -B, B), one norm scan
-    on either kind of order), and, when the policy asks the ideal backend, a
-    class table (class_groups.ideal_class_table, one sieve). The window's
-    membership is read from them, and every later query of such an m that
-    would search at the exact bound, or compute the classes of norm |m|,
-    reads them too, with the same verdict. A real order whose exact search
-    bound at B passes the ceiling gets no tables and asks each m in turn.
-    Memo and tables are caches only; concurrent queries at worst recompute
-    an entry.
+    the element backend (quadratic._norm_table(order, -B, B, b_max), one
+    norm scan on either kind of order, b_max the exact search bound that
+    members_up_to solved at B for a real order), and, when the policy asks
+    the ideal backend, a class table (class_groups.ideal_class_table, one
+    sieve). The window's membership is read from them, and every later
+    query of such an m that would search at the exact bound, or compute the
+    classes of norm |m|, reads them too, with the same verdict. A real order
+    whose exact search bound at B passes the ceiling gets no tables and asks
+    each m in turn. Memo and tables are caches only; concurrent queries at
+    worst recompute an entry.
     """
 
     def __init__(self, order: QuadraticOrder, policy: str = "auto"):
@@ -388,10 +373,9 @@ def factor_in_normset(ns: NormsetHandle, m: int) -> set[FactorMultiset]:
     """All factorizations of the member m into normset atoms. Complete:
     candidate atoms live in the (finite) divisor lattice of m in Z. A unit
     member (+-1) has no factorization into atoms and raises ValueError.
+    Membership is asked with no bound, so it is exact or raises NeedsBound.
     """
     v = ns.contains(m)
-    if v.answer == "unknown":
-        raise NeedsBound(f"membership of {m} in {ns} undecided within bound")
     if v.answer != "yes":
         raise NotMember(f"{m} is not in {ns}")
     if abs(m) == 1:

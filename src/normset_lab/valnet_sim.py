@@ -22,11 +22,13 @@ CapExceeded past a million members). Those members make one table per
 bit on top, so a sum and its bound test are an addition, a subtraction and a
 mask; the members are decoded into int tuples once. The last table built is
 kept, so the next query on the same net reuses it and at most one table
-stays in memory between calls. Only the infinite divisor lists of
-positive-tail sequence nets are cut at a depth, by default DEFAULT_DEPTH
-(32) in every function that takes one. A sequence net whose value at
-infinity is off its tail is no member and has no divisors: its divisor
-list is empty and its S_b is the empty set.
+stays in memory between calls. A net over another index set is no member
+(contains answers False), and every other generated-monoid query on it
+raises IndexMismatch when it builds the table. Only the infinite divisor
+lists of positive-tail sequence nets are cut at a depth, by default
+DEFAULT_DEPTH (32) in every function that takes one. A sequence net whose
+value at infinity is off its tail is no member and has no divisors: its
+divisor list is empty and its S_b is the empty set.
 
 Ideal norms carry an attainment flag: (gamma, attained=False) encodes the
 value gamma + epsilon of an infimum that no element reaches. Epsilons
@@ -620,8 +622,6 @@ def net_factorizations(m: NetMonoid, b: ValNet) -> tuple[FactorMultiset, ...]:
         raise ValueError("exhaustive factorization is for generated monoids")
     if b.is_zero:
         raise ValueError("the zero net is a unit")
-    if b.index_set != m.index_set:
-        return ()
     t = _table(m, b)
     if t.vec(b) not in t.members:
         return ()  # not a sum of atoms at all
@@ -652,8 +652,6 @@ def find_atomic_factorization(m: NetMonoid, b: ValNet,
                 atoms.extend([e_net(m.index_set, i)] * v)
             return SearchOutcome("found", FactorMultiset(tuple(atoms)))
         return SearchOutcome("none_within_depth")
-    if b.index_set != m.index_set:
-        return SearchOutcome("proven_none")
     t = _table(m, b)
     x = t.vec(b)
     if x not in t.members:

@@ -151,6 +151,9 @@ def test_composition_fixtures():
     assert compose(g2, g2) == BQForm(1, 0, 14)
     # D = -164: conjugate classes are inverse
     assert compose(BQForm(3, 2, 14), BQForm(3, -2, 14)) == BQForm(1, 0, 41)
+    # D = 40: the -1 form has a < 0, which compose makes positive first;
+    # it squares to the principal class
+    assert compose(BQForm(-1, 6, 1), BQForm(-1, 6, 1)) == principal_form(40)
 
 
 def test_composition_identity_and_commutativity():

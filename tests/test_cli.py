@@ -527,6 +527,7 @@ GOLDEN_COMMANDS = {
     "valnet_comax": "valnet m2.net comax M1:4,M2:4 2",
     "valnet_cover": "valnet m2.net cover M1:4,M2:4 M1",
     "valnet_sb": "valnet m2.net sb M1:6,M2:4",
+    "valnet_bfd": "valnet m2.net bfd M1:3,M2:3",
     "valnet_omega_comax": "valnet omega.net comax 1:2,2:1,tail:1 3",
     "valnet_omega_divisors": "valnet omega.net divisors 1:2,2:1,tail:1",
     "valnet_omega_cover": "valnet omega.net cover 1:2,2:1,tail:1 1,2,9",

@@ -2,6 +2,7 @@
 imaginary classification table. Every not_hfd witness is re-multiplied.
 """
 
+import json
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -21,6 +22,7 @@ from normset_lab import (
 from normset_lab import hfd_lab
 from normset_lab.hfd_lab import HFD_DS, UFD_DS
 from normset_lab.arith import factorize
+from normset_lab.cli import main
 from normset_lab.monoid_core import FactorMultiset, FactorSession, WindowVerdict
 from normset_lab.quadratic import QuadElem, _element_kernel, canonical_associate
 
@@ -246,8 +248,9 @@ def test_classification_spot_rows(report):
     assert all(r.ok for r in report)
 
 
-def test_classification_records_are_plain(report):
-    for rec in report.to_records():
+def test_classification_records_are_plain(capsys):
+    assert main(["classify-hfd", "--format", "json"]) == 0
+    for rec in json.loads(capsys.readouterr().out)["rows"]:
         assert set(rec) == {"d", "n", "expected", "computed", "ok", "witness"}
         w = rec["witness"]
         assert w is None or isinstance(w, (int, str, list))

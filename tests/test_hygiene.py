@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of normset_lab imports is used there,
-every private module-level function or class is used somewhere, and every
-attribute a module assigns on self is read somewhere.
+every private module-level function or class is used somewhere, every
+attribute a module assigns on self is read somewhere, and only the CLI
+encodes records.
 
 Stdlib-only static checks over the package sources. The package's
 __init__ is exempt from the import check, since its imports are its public
@@ -142,3 +143,41 @@ def test_check_sees_a_write_only_attribute():
     readers = [*package.values(), ast.parse("def f(a):\n    return a.elsewhere\n")]
     assert _write_only(package, readers) == {"a.dropped"}
     assert _write_only(package, list(package.values())) == {"a.dropped", "a.elsewhere"}
+
+
+def _record_encoders(trees: dict[str, ast.Module]) -> set[str]:
+    """Where a module other than cli encodes records itself: a function
+    named to_record or to_records, or an import of json."""
+    found = set()
+    for mod, tree in trees.items():
+        if mod == "cli":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in ("to_record", "to_records"):
+                found.add(f"{mod}.{node.name}")
+            elif isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json"
+                                                      for a in node.names):
+                found.add(f"{mod} imports json")
+            elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == "json"):
+                found.add(f"{mod} imports json")
+    return found
+
+
+def test_only_the_cli_encodes_records():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert "cli" in trees
+    assert not _record_encoders(trees)
+
+
+def test_check_sees_a_record_encoder():
+    trees = {
+        "cli": ast.parse("import json\ndef to_record(v):\n    return json.dumps(v)\n"),
+        "a": ast.parse("import json.decoder\n"
+                       "class A:\n    def to_record(self):\n        return {}\n"),
+        "b": ast.parse("from json import dumps\ndef to_records(rows):\n    return rows\n"),
+        "c": ast.parse("from .json import x\ndef record(v):\n    return v\n"),
+    }
+    assert _record_encoders(trees) == {"a.to_record", "a imports json",
+                                       "b.to_records", "b imports json"}

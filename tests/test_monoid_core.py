@@ -244,6 +244,13 @@ def test_23_trio_of_window_verdicts(view23):
     assert Fraction(rho) == Fraction(3, 2)
 
 
+def test_length_factorial_window_fails_with_two_same_length_factorizations():
+    # 8 = 3 + 5 = 4 + 4 in <3, 4, 5>, the least such member
+    lf = is_length_factorial_window(numerical_monoid_view(3, 4, 5), 20)
+    assert not lf.holds and lf.bound == 20
+    assert lf.witness == (8, FactorMultiset((3, 5)), FactorMultiset((4, 4)))
+
+
 def test_23_elasticity_monotone_in_bound(view23):
     # window elasticities never decrease as the window grows
     vals = [elasticity_window(view23, b) for b in (4, 6, 20, 100)]

@@ -6,6 +6,7 @@ where both are exact; the class-number table provides an independent route
 to every is_ufd verdict.
 """
 
+import json
 import time
 
 import pytest
@@ -29,6 +30,7 @@ from normset_lab import (
 import normset_lab.normsets as normsets
 import normset_lab.quadratic as quadratic
 from normset_lab.arith import divisors, is_squarefree
+from normset_lab.cli import main
 from normset_lab.normsets import _REAL_SEARCH_CEILING, Verdict
 from normset_lab.quadratic import exact_real_search_bound, order_fundamental_unit
 
@@ -263,6 +265,19 @@ def test_policy_both_cross_checks_the_whole_window(monkeypatch, d, builder,
         NormsetHandle(order_of(d), policy="both").members_up_to(60)
 
 
+@pytest.mark.parametrize("policy,m,error", [
+    # 6 = N(1 + sqrt(-5)) and 2 is no norm; the class test is negated
+    ("both", 6, "backend disagreement at m=6 "),
+    ("ideal_theoretic", 2, "ideal backend certified norm 2 "),
+])
+def test_each_query_cross_checks_the_class_test(monkeypatch, policy, m, error):
+    is_ideal_norm = normsets._is_ideal_norm
+    monkeypatch.setattr(normsets, "_is_ideal_norm",
+                        lambda cg, k, classes: not is_ideal_norm(cg, k, classes))
+    with pytest.raises(AssertionError, match=error):
+        normset_of(order_of(-5), policy).contains(m)
+
+
 def test_windows_make_no_per_norm_searches(monkeypatch):
     # a search for one norm runs elements_of_norm or _norm_table(order, m, m,
     # exact bound), so the only table builds are the two windows', each with
@@ -359,10 +374,13 @@ def test_policy_both_searches_once_per_query(monkeypatch):
             ("both", "no"), ("ideal_theoretic", "no")} <= seen
 
 
-def test_verdict_record_shape():
-    v = normset_of(order_of(34)).contains(-9)
-    rec = v.to_record()
-    assert set(rec) == {"query", "answer", "witness", "bound_used", "backend"}
+def test_verdict_record_shape(capsys):
+    # the CLI writes the record: its envelope, then the verdict's fields
+    assert main(["normset", "member", "--d", "34", "--value", "-9", "--format", "json"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    envelope = {"schema_version", "command", "order", "value"}
+    assert envelope <= set(rec)
+    assert set(rec) - envelope == {"query", "answer", "witness", "bound_used", "backend"}
     assert rec["answer"] == "yes"
     assert isinstance(rec["witness"], str)
 

@@ -288,6 +288,21 @@ def test_arithmetic_matches_per_kind_formulas(d, n):
                 assert (z.a, z.b) == _kind_mul(x, y), (x, y)
 
 
+def test_addition_and_subtraction():
+    order = order_of(-5)
+    x, y = order.element(1, 2), order.element(3, -1)
+    assert x + y == order.element(4, 1) and x - y == order.element(-2, 3)
+    assert x + 3 == 3 + x == order.element(4, 2)
+    assert x - 3 == order.element(-2, 2)
+    with pytest.raises(ValueError, match="different orders"):
+        x + order_of(-5, 2).element(1, 1)
+    with pytest.raises(ValueError, match="different orders"):
+        x - order_of(-1).element(1, 1)
+    assert x.__add__(1.5) is NotImplemented and x.__sub__(1.5) is NotImplemented
+    with pytest.raises(TypeError):
+        x + 1.5
+
+
 @pytest.mark.parametrize("d,n", [(d, n) for d, n in ARITH_ORDERS if d > 0])
 @pytest.mark.parametrize("same_norm", [False, True])
 def test_real_canonical_associate_matches_square_slide(d, n, same_norm):

@@ -255,6 +255,23 @@ def test_generated_membership():
     assert not M2.contains(fnet(8, 7), depth=2)
 
 
+def test_foreign_net_queries_raise_index_mismatch():
+    # one rule for a net over another index set: every generated-monoid
+    # query raises, and only membership answers (no)
+    other = finite_indices("P1", "P2")
+    b = make_net(other, {"P1": 2, "P2": 2})
+    assert not M2.contains(b)
+    assert accp_chain(M2, b, 1) == [b]  # returned before any table is built
+    queries = [monoid_divisors, S_b, inf_S_b, bfd_bound, net_factorizations,
+               find_atomic_factorization, ffd_window,
+               lambda m, x: accp_chain(m, x, 2),
+               lambda m, x: comaximal_family(m, x, 2),
+               lambda m, x: finite_cover_check(m, x, ["P1"])]
+    for query in queries:
+        with pytest.raises(IndexMismatch):
+            query(M2, b)
+
+
 def test_member_table_cap(monkeypatch):
     # 12 labels with atoms e_i: (1, ..., 1) has 2**12 members below it
     labels = finite_indices(*(f"L{i}" for i in range(12)))
