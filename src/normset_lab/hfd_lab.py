@@ -6,7 +6,13 @@ number 3 or more always has an element with factorizations of two lengths
 (found here by scanning the element window; such witnesses live at tiny
 sizes). Elasticity of a maximal order comes from the Davenport constant of
 the class group, again exactly. For non-maximal orders Z[n*xi] with n >= 2
-a direct witness construction settles every case except d = -3. There
+and d != -3 the witness is built, with no factorization search: the atom
+g = n*xi (n + n*i when d = -1) gives N(g) = g*conj(g) = p_1*...*p_k, k >= 3,
+and each rational prime p_i | N(g) is an atom by a norm bound. An element
+off Z has norm >= n^2*|D_K|/4 > p_i, and a rational one has a square norm,
+so nothing has the norm p_i a proper factor of p_i would need
+(order_hfd_witness has the details). For d = -3, N(xi) = 1, so at a prime
+n both routes have length 2, and every d = -3 order goes another way.
 (d, n) = (-3, 2), the one non-maximal half-factorial order (Halter-Koch,
 "Factorization of algebraic integers", Graz report 191, 1983), is hfd by a
 conductor lemma whose three hypotheses are computed (_conductor_lemma_holds),
@@ -18,7 +24,8 @@ search runs on the integer element kernel (quadratic._element_kernel) over
 classification_check() replays the whole table: the nine unit-class
 discriminants, the eighteen class-number-two discriminants, the (d, n) =
 (-3, 2) exception, and a 123-pair sweep of non-maximal orders that must all
-fail half-factoriality with an explicit two-length witness.
+fail half-factoriality with an explicit two-length witness, built by the
+norm bound off d = -3.
 """
 
 from __future__ import annotations
@@ -27,12 +34,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .arith import is_squarefree, kronecker
+from .arith import factorize, is_squarefree, kronecker
 from .class_groups import class_group, class_number
 from .errors import BadDiscriminant, WitnessSearchExhausted
-from .monoid_core import FactorSession, WindowVerdict, davenport, is_hfm_window
+from .monoid_core import (FactorMultiset, FactorSession, WindowVerdict, davenport,
+                          is_hfm_window)
 from .quadratic import (QuadElem, QuadraticOrder, _as_elements, _element_kernel,
-                        factor_element, order_of, units)
+                        order_of, units)
 
 # all known witnesses sit at window size <= ~100; the default leaves margin
 HFD_WITNESS_BOUND = 10_000
@@ -143,14 +151,32 @@ def _conductor_lemma_holds() -> bool:
 def order_hfd_witness(d: int, n: int) -> HfdVerdict:
     """Verdict for the non-maximal order Z[n*xi], n >= 2.
 
-    Every such order except (d, n) = (-3, 2) fails: the generator w = n*xi
-    (or n+ni when d = -1) is irreducible, and the integer w*conj(w) then
-    factors both through the conjugate pair (length 2) and through rational
-    integers (length >= 3). For d = -3 the norm of n*xi is n^2, whose
-    integer route is also length 2, so the construction is silent. n = 2 is
+    Every such order except (d, n) = (-3, 2) fails, by a witness built with
+    no factorization search (Geroldinger & Halter-Koch, Non-Unique
+    Factorizations, 2006, 3.7). Take g = n*xi, or g = n + n*i when d = -1.
+    g is an atom (checked: FactorSession.is_atom lists no proper divisor),
+    and so is conj(g), conjugation being an automorphism of the order. The
+    integer N(g) = g*conj(g) then factors as that conjugate pair (length 2)
+    and as its rational primes, which are atoms too:
+
+    - every element a + b*g with b != 0 has norm >= n^2*|D_K|/4, since
+      4*N(x) = t^2 + |D|*b^2 with D = n^2*D_K;
+    - a prime p | N(g) divides n or N(xi) (2 or n when d = -1), so
+      p < n^2*|D_K|/4 for n >= 2;
+    - a proper factor of p would have norm p, but a rational element's norm
+      is a square and every other element's norm exceeds p.
+
+    So the lengths are 2 and Omega(N(g)) >= 3, since n^2 | N(g) and
+    N(xi) >= 2 when d != -3 (N(g) = 2n^2 when d = -1). short is the pair's
+    canonical forms in the kernel's key order and long the primes ascending
+    with multiplicity; tests/test_hfd_lab.py checks against the full list
+    factor_element(order, N(g)) that these are its first shortest and first
+    longest factorizations. For d = -3 the norm of n*xi is n^2, whose
+    integer route is also length 2 when n is prime, so the construction is
+    silent there, and no d = -3 order uses it. n = 2 is
     hfd by the conductor lemma (_conductor_lemma_holds), with no search;
     n >= 3, and n = 2 should a hypothesis of the lemma fail, go to the window
-    scan. Raises WitnessSearchExhausted when no witness turns up.
+    scan, which raises WitnessSearchExhausted when no witness turns up.
     """
     if d >= 0 or not is_squarefree(d):
         raise BadDiscriminant(f"d = {d} must be negative and squarefree")
@@ -165,19 +191,15 @@ def order_hfd_witness(d: int, n: int) -> HfdVerdict:
             f"no two-length element in {order} at window size <= {HFD_WITNESS_BOUND}")
 
     w = order.element(n, 1) if d == -1 else order.element(0, 1)
-    # one session: factoring N(w) reuses the divisor norms the atom test
-    # solved; w and the positive integer N(w) are canonical as they stand
     session = FactorSession(_element_kernel(order))
     if not session.is_atom((w.a, w.b)):
         raise WitnessSearchExhausted(f"{w} unexpectedly splits in {order}")
-    elem = order.element(w.norm(), 0)
-    facts = factor_element(order, elem, session)
-    short = min(facts, key=len)
-    long_ = max(facts, key=len)
-    if short.length == long_.length:
-        raise WitnessSearchExhausted(
-            f"{elem} in {order} has single-length factorizations")
-    return HfdVerdict(order, "not_hfd", (short, long_), elem, "order_argument")
+    # off the maximal orders of d = -1, -3 the units are +-1, so w and
+    # -conj(w), both with b = 1, are the pair's canonical forms
+    short = FactorMultiset(tuple(sorted((w, -w.conj()), key=session.view.key)))
+    m = w.norm()
+    long_ = FactorMultiset(tuple(order.element(p) for p, e in factorize(m) for _ in range(e)))
+    return HfdVerdict(order, "not_hfd", (short, long_), order.element(m), "order_argument")
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +244,10 @@ def classification_check() -> ClassificationReport:
     """Recompute the complete imaginary quadratic HFD classification:
     maximal orders by class number, Z[sqrt(-3)] by the conductor lemma
     (no window), and every other non-maximal order (|d| <= 50, n <= 5) by
-    explicit witness.
+    explicit witness. Off d = -3 the witness is constructed, not searched:
+    g*conj(g) = N(g) against the rational primes of N(g), each an atom
+    since every element off Z has norm >= n^2*|D_K|/4, above each of those
+    primes (order_hfd_witness); only the d = -3, n >= 3 rows scan a window.
     """
     rows = []
     for d in UFD_DS:

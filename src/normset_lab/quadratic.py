@@ -75,7 +75,7 @@ class QuadraticOrder:
     def d(self) -> int:
         return self.field.d
 
-    @property
+    @cached_property
     def discriminant(self) -> int:
         return self.n * self.n * self.field.field_discriminant
 

@@ -22,13 +22,16 @@ CapExceeded past a million members). Those members make one table per
 bit on top, so a sum and its bound test are an addition, a subtraction and a
 mask; the members are decoded into int tuples once. The last table built is
 kept, so the next query on the same net reuses it and at most one table
-stays in memory between calls. A net over another index set is no member
-(contains answers False), and every other generated-monoid query on it
-raises IndexMismatch when it builds the table. Only the infinite divisor
-lists of positive-tail sequence nets are cut at a depth, by default
-DEFAULT_DEPTH (32) in every function that takes one. A sequence net whose
-value at infinity is off its tail is no member and has no divisors: its
-divisor list is empty and its S_b is the empty set.
+stays in memory between calls. Only the infinite divisor lists of
+positive-tail sequence nets are cut at a depth, by default DEFAULT_DEPTH
+(32) in every function that takes one. A sequence net whose value at
+infinity is off its tail is no member and has no divisors: its divisor list
+is empty and its S_b is the empty set.
+
+One rule for a net over another index set, on both kinds of monoid: it is
+no member (contains answers False, and accp_chain with k = 1 returns the
+one-net chain before reading the monoid), and every other query raises
+IndexMismatch before it reads the net (_own_net).
 
 Ideal norms carry an attainment flag: (gamma, attained=False) encodes the
 value gamma + epsilon of an infimum that no element reaches. Epsilons
@@ -323,6 +326,13 @@ class NetMonoid:
         return self.name or f"{self.kind} net monoid"
 
 
+def _own_net(m: NetMonoid, b: ValNet):
+    """Raise IndexMismatch unless b lives over m's index set: the first
+    step of every query on b but contains."""
+    if b.index_set != m.index_set:
+        raise IndexMismatch("nets live over different index sets")
+
+
 def sequence_domain(infinity_tag: str = DISCRETE) -> NetMonoid:
     return NetMonoid(omega_indices(infinity_tag), "sequence_domain",
                      name="sequence domain")
@@ -384,8 +394,6 @@ class _Table:
     """
 
     def __init__(self, m: NetMonoid, b: ValNet):
-        if b.index_set != m.index_set:
-            raise IndexMismatch("nets live over different index sets")
         self.m, self.labels = m, m.index_set.labels
         if m.index_set.kind == "omega_plus_point":
             # every net in play equals its tail past the last support index,
@@ -503,6 +511,7 @@ def monoid_divisors(m: NetMonoid, b: ValNet, depth: int = DEFAULT_DEPTH) -> list
     value at infinity off its tail is no member, and neither is any b - d,
     so it has no divisors.
     """
+    _own_net(m, b)
     if m.kind == "generated":
         t = _table(m, b)
         return [t.net(d) for d in sorted(t.divisors(t.vec(b)), key=t.key)]
@@ -569,6 +578,7 @@ def S_b(m: NetMonoid, b: ValNet, depth: int = DEFAULT_DEPTH) -> set:
     monoid_divisors. A sequence net that is no member has no divisors and
     answers the empty set.
     """
+    _own_net(m, b)
     if m.kind == "sequence_domain":
         if b.is_zero or not m.contains(b):
             return set()
@@ -618,6 +628,7 @@ class SearchOutcome:
 
 def net_factorizations(m: NetMonoid, b: ValNet) -> tuple[FactorMultiset, ...]:
     """All factorizations of b into atoms of a generated monoid."""
+    _own_net(m, b)
     if m.kind != "generated":
         raise ValueError("exhaustive factorization is for generated monoids")
     if b.is_zero:
@@ -641,6 +652,7 @@ def find_atomic_factorization(m: NetMonoid, b: ValNet,
     resolves within finite depth, so the honest answer is none_within_depth,
     not a proof of absence.
     """
+    _own_net(m, b)
     if b.is_zero:
         raise ValueError("the zero net is a unit")
     if m.kind == "sequence_domain":
@@ -681,6 +693,7 @@ def accp_chain(m: NetMonoid, b: ValNet, k: int) -> list[ValNet] | None:
     chain = [b]
     if k == 1:
         return chain
+    _own_net(m, b)
     if m.kind == "sequence_domain":
         if not m.contains(b):
             return None
@@ -734,6 +747,7 @@ def comaximal_family(m: NetMonoid, b: ValNet, k: int,
     family is the first k atoms e_i dividing b: b's positive indices up to
     its last support index, then, with a positive tail, the next k indices.
     """
+    _own_net(m, b)
     if k < 1:
         return None
     if m.kind == "sequence_domain":
@@ -772,9 +786,10 @@ def finite_cover_check(m: NetMonoid, b: ValNet, candidate: list,
     and every support index is a candidate, since a positive tail puts e_i
     below b for indices past every candidate.
     """
+    _own_net(m, b)
     cand = set(candidate)
     for idx in cand:
-        if not b.index_set.valid_index(idx):
+        if not m.index_set.valid_index(idx):
             raise ValueError(f"{idx!r} is not an index here")
     if m.kind == "sequence_domain":
         return not m.contains(b) or (b.tail == 0 and cand.issuperset(b.support_indices()))
@@ -818,6 +833,7 @@ def ffd_window(m: NetMonoid, b: ValNet, depth: int = DEFAULT_DEPTH) -> DivisorCo
     and the count of monoid_divisors(m, b, depth), the depth-truncated
     list, is a lower bound.
     """
+    _own_net(m, b)
     if m.kind == "sequence_domain":
         if not m.contains(b):
             return DivisorCount(0, True)

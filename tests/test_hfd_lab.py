@@ -21,10 +21,10 @@ from normset_lab import (
 )
 from normset_lab import hfd_lab
 from normset_lab.hfd_lab import HFD_DS, UFD_DS
-from normset_lab.arith import factorize
+from normset_lab.arith import factorize, is_squarefree
 from normset_lab.cli import main
 from normset_lab.monoid_core import FactorMultiset, FactorSession, WindowVerdict
-from normset_lab.quadratic import QuadElem, _element_kernel, canonical_associate
+from normset_lab.quadratic import QuadElem, _element_kernel, canonical_associate, factor_element
 
 
 def _remultiplies(verdict) -> bool:
@@ -205,11 +205,47 @@ def test_order_witness_split_generator_raises(monkeypatch):
         order_hfd_witness(-1, 2)
 
 
-def test_order_witness_single_length_raises(monkeypatch):
-    monkeypatch.setattr(hfd_lab, "factor_element",
-                        lambda order, x, session: (FactorMultiset((x,)),))
-    with pytest.raises(WitnessSearchExhausted, match="single-length"):
-        order_hfd_witness(-7, 2)
+NON_MAXIMAL = [(d, n) for d in range(-1, -60, -1) if d != -3 and is_squarefree(d)
+               for n in range(2, 7)]
+
+
+def test_order_witness_is_the_first_shortest_and_longest_factorization():
+    # the constructed witness is what listing every factorization of N(g)
+    # and keeping the first shortest and first longest one gives
+    for d, n in NON_MAXIMAL:
+        v = order_hfd_witness(d, n)
+        facts = factor_element(order_of(d, n), v.element)
+        assert v.witness == (min(facts, key=len), max(facts, key=len)), (d, n)
+
+
+def test_order_witness_is_two_atoms_against_the_primes_of_the_norm():
+    for d, n in NON_MAXIMAL:
+        v = order_hfd_witness(d, n)
+        order = order_of(d, n)
+        g = order.element(n, 1) if d == -1 else order.element(0, 1)
+        short, long_ = v.witness
+        assert v.element == order.element(g.norm())
+        assert set(short) == {g, -g.conj()}
+        assert [x.a for x in long_] == sorted(
+            p for p, e in factorize(g.norm()) for _ in range(e))
+        assert (short.length, long_.length) == (2, sum(e for _, e in factorize(g.norm())))
+        session = FactorSession(_element_kernel(order))
+        assert all(session.is_atom((x.a, x.b)) for x in (*short, *long_)), (d, n)
+        assert _remultiplies(v)
+
+
+def test_classification_lists_factorizations_only_in_d_minus_3_windows(monkeypatch):
+    listed = []
+    factorizations = FactorSession.factorizations
+
+    def counted(self, x):
+        listed.append(self.view.name)
+        return factorizations(self, x)
+
+    monkeypatch.setattr(FactorSession, "factorizations", counted)
+    assert classification_check().ok
+    assert listed  # the d = -3 windows list their witness's factorizations
+    assert set(listed) <= {f"elements of {order_of(-3, n)}" for n in (3, 4, 5)}
 
 
 def test_order_witness_validation():

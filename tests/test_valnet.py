@@ -256,20 +256,23 @@ def test_generated_membership():
 
 
 def test_foreign_net_queries_raise_index_mismatch():
-    # one rule for a net over another index set: every generated-monoid
-    # query raises, and only membership answers (no)
+    # one rule for a net over another index set, on both kinds of monoid:
+    # every query raises, and only membership answers (no)
     other = finite_indices("P1", "P2")
     b = make_net(other, {"P1": 2, "P2": 2})
-    assert not M2.contains(b)
-    assert accp_chain(M2, b, 1) == [b]  # returned before any table is built
-    queries = [monoid_divisors, S_b, inf_S_b, bfd_bound, net_factorizations,
-               find_atomic_factorization, ffd_window,
-               lambda m, x: accp_chain(m, x, 2),
-               lambda m, x: comaximal_family(m, x, 2),
-               lambda m, x: finite_cover_check(m, x, ["P1"])]
-    for query in queries:
-        with pytest.raises(IndexMismatch):
-            query(M2, b)
+    for m, own_index in ((M2, "M1"), (SEQ, 1)):
+        assert not m.contains(b)
+        assert accp_chain(m, b, 1) == [b]  # returned before the monoid is read
+        queries = [monoid_divisors, S_b, inf_S_b, bfd_bound, net_factorizations,
+                   find_atomic_factorization, ffd_window,
+                   lambda m, x: accp_chain(m, x, 2),
+                   lambda m, x: comaximal_family(m, x, 2),
+                   lambda m, x: finite_cover_check(m, x, ["P1"]),
+                   # an index of the monoid, not of the net
+                   lambda m, x: finite_cover_check(m, x, [own_index])]
+        for query in queries:
+            with pytest.raises(IndexMismatch):
+                query(m, b)
 
 
 def test_member_table_cap(monkeypatch):
