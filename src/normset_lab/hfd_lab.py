@@ -1,48 +1,44 @@
 """Half-factorial verdicts for imaginary quadratic orders.
 
-Three routes to a verdict. For maximal orders the class-number dichotomy is
-exact: class number 1 is a UFD, class number 2 is a proper HFD, and class
-number 3 or more always has an element with factorizations of two lengths
-(found here by scanning the element window; such witnesses live at tiny
-sizes). Elasticity of a maximal order comes from the Davenport constant of
-the class group, again exactly. For non-maximal orders Z[n*xi] with n >= 2
-and d != -3 the witness is built, with no factorization search: the atom
-g = n*xi (n + n*i when d = -1) gives N(g) = g*conj(g) = p_1*...*p_k, k >= 3,
-and each rational prime p_i | N(g) is an atom by a norm bound. An element
-off Z has norm >= n^2*|D_K|/4 > p_i, and a rational one has a square norm,
-so nothing has the norm p_i a proper factor of p_i would need
-(order_hfd_witness has the details). For d = -3, N(xi) = 1, so at a prime
-n both routes have length 2, and every d = -3 order goes another way.
-(d, n) = (-3, 2), the one non-maximal half-factorial order (Halter-Koch,
-"Factorization of algebraic integers", Graz report 191, 1983), is hfd by a
-conductor lemma whose three hypotheses are computed (_conductor_lemma_holds),
-with no element search, and n >= 3 gets a witness from the window scan.
-Window scans stream elements by size and stop at the first witness. Every
-search runs on the integer element kernel (quadratic._element_kernel) over
-(a, b) pairs; only the witnesses returned become QuadElem.
+For maximal orders the class-number dichotomy is exact: class number 1 is
+a UFD, 2 a proper HFD, and 3 or more not half-factorial. Elasticity of a
+maximal order comes from the Davenport constant of the class group, again
+exactly. (d, n) = (-3, 2), the one non-maximal half-factorial order
+(Halter-Koch, "Factorization of algebraic integers", Graz report 191,
+1983), is hfd by a conductor lemma whose three hypotheses are computed
+(_conductor_lemma_holds), with no element search.
+
+Every not_hfd witness comes from one rule (_norm_witness), with no length
+set and no factorization list: an atom g off Z with N(g) = g*conj(g) =
+p_1*...*p_k, k >= 3, each rational prime p_i an atom too, so N(g) has
+lengths 2 and k. The candidates are g = n*xi (n + n*i when d = -1) for a
+non-maximal order off d = -3, and the element window's stream otherwise,
+with n + w as the d = -3 fallback (order_hfd_witness has the proofs).
+The atom checks run on the integer element kernel
+(quadratic._element_kernel) over (a, b) pairs; only the witnesses
+returned become QuadElem.
 
 classification_check() replays the whole table: the nine unit-class
 discriminants, the eighteen class-number-two discriminants, the (d, n) =
 (-3, 2) exception, and a 123-pair sweep of non-maximal orders that must all
-fail half-factoriality with an explicit two-length witness, built by the
-norm bound off d = -3.
+fail half-factoriality with an explicit two-length witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from itertools import chain
+from typing import Any, Iterable
 
 from .arith import factorize, is_squarefree, kronecker
 from .class_groups import class_group, class_number
 from .errors import BadDiscriminant, WitnessSearchExhausted
-from .monoid_core import (FactorMultiset, FactorSession, WindowVerdict, davenport,
-                          is_hfm_window)
+from .monoid_core import FactorSession, WindowVerdict, davenport, is_hfm_window
 from .quadratic import (QuadElem, QuadraticOrder, _as_elements, _element_kernel,
                         order_of, units)
 
-# all known witnesses sit at window size <= ~100; the default leaves margin
+# _norm_witness's window: all known witnesses sit at size <= ~100
 HFD_WITNESS_BOUND = 10_000
 
 
@@ -72,10 +68,10 @@ class HfdVerdict:
         return base
 
 
-def carlitz_verdict(order: QuadraticOrder,
-                    witness_bound: int = HFD_WITNESS_BOUND) -> HfdVerdict:
+def carlitz_verdict(order: QuadraticOrder) -> HfdVerdict:
     """Exact verdict for a maximal imaginary order via the class-number
-    dichotomy; class number >= 3 also gets a concrete two-length witness.
+    dichotomy; class number >= 3 also gets a concrete two-length witness,
+    the first of the window stream up to HFD_WITNESS_BOUND to pass.
     """
     if not (order.is_imaginary and order.is_maximal):
         raise ValueError("the class-number dichotomy needs a maximal imaginary order")
@@ -84,9 +80,9 @@ def carlitz_verdict(order: QuadraticOrder,
         return HfdVerdict(order, "ufd", method="carlitz")
     if h == 2:
         return HfdVerdict(order, "hfd", method="carlitz")
-    return _window_witness(order, witness_bound, "carlitz",
-                           f"h={h} makes {order} not half-factorial, but no witness "
-                           f"appeared at window size <= {witness_bound}")
+    return _norm_witness(order, HFD_WITNESS_BOUND, (), "carlitz",
+                         f"h={h} makes {order} not half-factorial, but no witness "
+                         f"appeared at window size <= {HFD_WITNESS_BOUND}")
 
 
 def elasticity_via_davenport(order: QuadraticOrder) -> Fraction:
@@ -116,17 +112,28 @@ def bounded_hfd_check(order: QuadraticOrder, B: int) -> WindowVerdict:
                                     _as_elements(order, long_)))
 
 
-def _window_witness(order: QuadraticOrder, B: int, method: str,
-                    exhausted: str) -> HfdVerdict:
-    """The not_hfd verdict carrying the window scan's witness at size B; a
-    window that holds proves nothing and raises WitnessSearchExhausted with
-    the message `exhausted`.
+def _norm_witness(order: QuadraticOrder, bound: int, extra: Iterable[tuple[int, int]],
+                  method: str, exhausted: str) -> HfdVerdict:
+    """The not_hfd verdict of the first candidate g off Z, among the element
+    window's stream up to `bound` and then the kernel pairs `extra`, with
+    k = Omega(N(g)) >= 3 that is an atom and whose norm's rational primes
+    are atoms too. N(g) = g*conj(g) = p_1*...*p_k then has lengths 2 and k:
+    short is g and conj(g) in the kernel's key order, long the primes
+    ascending with multiplicity. No candidate passing raises
+    WitnessSearchExhausted with the message `exhausted`.
     """
-    chk = bounded_hfd_check(order, B)
-    if chk.holds:
-        raise WitnessSearchExhausted(exhausted)
-    x, short, long_ = chk.witness
-    return HfdVerdict(order, "not_hfd", (short, long_), x, method)
+    session = FactorSession(_element_kernel(order))
+    view = session.view
+    for g in chain(view.elements_up_to(bound), extra):
+        if not g[1]:
+            continue  # factoring s^2 for every integer s costs more than the search
+        m = QuadElem(order, *g).norm()
+        primes = [(p, 0) for p, e in factorize(m) for _ in range(e)]
+        if len(primes) >= 3 and session.is_atom(g) and all(map(session.is_atom, primes)):
+            short = sorted((g, view.divide(g, (m, 0))), key=view.key)
+            witness = _as_elements(order, short), _as_elements(order, primes)
+            return HfdVerdict(order, "not_hfd", witness, order.element(m), method)
+    raise WitnessSearchExhausted(exhausted)
 
 
 def _conductor_lemma_holds() -> bool:
@@ -151,13 +158,14 @@ def _conductor_lemma_holds() -> bool:
 def order_hfd_witness(d: int, n: int) -> HfdVerdict:
     """Verdict for the non-maximal order Z[n*xi], n >= 2.
 
-    Every such order except (d, n) = (-3, 2) fails, by a witness built with
-    no factorization search (Geroldinger & Halter-Koch, Non-Unique
-    Factorizations, 2006, 3.7). Take g = n*xi, or g = n + n*i when d = -1.
-    g is an atom (checked: FactorSession.is_atom lists no proper divisor),
-    and so is conj(g), conjugation being an automorphism of the order. The
-    integer N(g) = g*conj(g) then factors as that conjugate pair (length 2)
-    and as its rational primes, which are atoms too:
+    Every such order except (d, n) = (-3, 2) fails, by a witness that
+    _norm_witness checks with no factorization search (Geroldinger &
+    Halter-Koch, Non-Unique Factorizations, 2006, 3.7). Off d = -3 its one
+    candidate is g = n*xi, or g = n + n*i when d = -1. g is an atom
+    (checked: FactorSession.is_atom lists no proper divisor), and so is
+    conj(g), conjugation being an automorphism of the order. The integer
+    N(g) = g*conj(g) then factors as that conjugate pair (length 2) and as
+    its rational primes, which are atoms too:
 
     - every element a + b*g with b != 0 has norm >= n^2*|D_K|/4, since
       4*N(x) = t^2 + |D|*b^2 with D = n^2*D_K;
@@ -167,16 +175,15 @@ def order_hfd_witness(d: int, n: int) -> HfdVerdict:
       is a square and every other element's norm exceeds p.
 
     So the lengths are 2 and Omega(N(g)) >= 3, since n^2 | N(g) and
-    N(xi) >= 2 when d != -3 (N(g) = 2n^2 when d = -1). short is the pair's
-    canonical forms in the kernel's key order and long the primes ascending
-    with multiplicity; tests/test_hfd_lab.py checks against the full list
-    factor_element(order, N(g)) that these are its first shortest and first
-    longest factorizations. For d = -3 the norm of n*xi is n^2, whose
-    integer route is also length 2 when n is prime, so the construction is
-    silent there, and no d = -3 order uses it. n = 2 is
-    hfd by the conductor lemma (_conductor_lemma_holds), with no search;
-    n >= 3, and n = 2 should a hypothesis of the lemma fail, go to the window
-    scan, which raises WitnessSearchExhausted when no witness turns up.
+    N(xi) >= 2 when d != -3 (N(g) = 2n^2 when d = -1).
+
+    For d = -3, n = 2 is hfd by the conductor lemma (_conductor_lemma_holds).
+    Otherwise the candidates are the window's, then g = n + w = n*(1 + omega)
+    of norm 3n^2, which passes at every n >= 3: an element off Z has norm
+    >= 3n^2/4, above 3 and each prime p | n, and no rational element has a
+    prime norm, so 3 and each p are atoms; g = r*(c + e*w) with r rational
+    forces r*e = 1, and two factors off Z have norms of product >= 9n^4/16
+    > 3n^2, so g is an atom. The lengths are 2 and 1 + 2*Omega(n).
     """
     if d >= 0 or not is_squarefree(d):
         raise BadDiscriminant(f"d = {d} must be negative and squarefree")
@@ -186,20 +193,12 @@ def order_hfd_witness(d: int, n: int) -> HfdVerdict:
     if d == -3:
         if n == 2 and _conductor_lemma_holds():
             return HfdVerdict(order, "hfd", method="order_argument")
-        return _window_witness(
-            order, HFD_WITNESS_BOUND, "direct_window",
+        return _norm_witness(
+            order, HFD_WITNESS_BOUND, [(n, 1)], "direct_window",
             f"no two-length element in {order} at window size <= {HFD_WITNESS_BOUND}")
-
-    w = order.element(n, 1) if d == -1 else order.element(0, 1)
-    session = FactorSession(_element_kernel(order))
-    if not session.is_atom((w.a, w.b)):
-        raise WitnessSearchExhausted(f"{w} unexpectedly splits in {order}")
-    # off the maximal orders of d = -1, -3 the units are +-1, so w and
-    # -conj(w), both with b = 1, are the pair's canonical forms
-    short = FactorMultiset(tuple(sorted((w, -w.conj()), key=session.view.key)))
-    m = w.norm()
-    long_ = FactorMultiset(tuple(order.element(p) for p, e in factorize(m) for _ in range(e)))
-    return HfdVerdict(order, "not_hfd", (short, long_), order.element(m), "order_argument")
+    g = (n, 1) if d == -1 else (0, 1)
+    return _norm_witness(order, 0, [g], "order_argument",
+                         f"{order.element(*g)} unexpectedly splits in {order}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +241,11 @@ class ClassificationReport:
 
 def classification_check() -> ClassificationReport:
     """Recompute the complete imaginary quadratic HFD classification:
-    maximal orders by class number, Z[sqrt(-3)] by the conductor lemma
-    (no window), and every other non-maximal order (|d| <= 50, n <= 5) by
-    explicit witness. Off d = -3 the witness is constructed, not searched:
-    g*conj(g) = N(g) against the rational primes of N(g), each an atom
-    since every element off Z has norm >= n^2*|D_K|/4, above each of those
-    primes (order_hfd_witness); only the d = -3, n >= 3 rows scan a window.
+    maximal orders by class number, Z[sqrt(-3)] by the conductor lemma,
+    and every other non-maximal order (|d| <= 50, n <= 5) by explicit
+    witness: g*conj(g) = N(g) against the rational primes of N(g), each an
+    atom (order_hfd_witness). No row computes a length set or lists a
+    factorization.
     """
     rows = []
     for d in UFD_DS:

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import isqrt
+from typing import Iterable
 
 from .arith import is_squarefree, lower_divisors
 from .errors import BadDiscriminant, NeedsBound
@@ -601,7 +602,7 @@ def _element_kernel(order: QuadraticOrder) -> MonoidView:
                       divide, proper_divisors, key, elements_up_to)
 
 
-def _as_elements(order: QuadraticOrder, f: FactorMultiset) -> FactorMultiset:
+def _as_elements(order: QuadraticOrder, f: Iterable[tuple[int, int]]) -> FactorMultiset:
     return FactorMultiset(tuple(QuadElem(order, a, b) for a, b in f))
 
 
@@ -637,7 +638,7 @@ def element_monoid_view(order: QuadraticOrder) -> MonoidView:
 def factor_element(order: QuadraticOrder, x: QuadElem, session: FactorSession | None = None) -> tuple[FactorMultiset, ...]:
     """All factorizations of x into irreducibles, up to associates and order;
     each re-multiplies to an associate of x. A given session must run on
-    the order's kernel (_element_kernel), as order_hfd_witness's does.
+    the order's kernel (_element_kernel).
     """
     if x.is_zero() or x.is_unit():
         raise ValueError("factor nonzero nonunits only")

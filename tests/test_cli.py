@@ -493,6 +493,7 @@ GOLDEN_COMMANDS = {
     "hfd_-14_text": "hfd --d -14 --format text",
     "hfd_-3_2": "hfd --d -3 --n 2",
     "hfd_-3_4": "hfd --d -3 --n 4",
+    "hfd_-3_1000": "hfd --d -3 --n 1000",
     "hfd_-7_3": "hfd --d -7 --n 3",
     "norm_-3_3": "norm --d -3 --n 3 --elem -3+2w",
     "norm_13_2": "norm --d 13 --n 2 --elem 5-3w",

@@ -19,11 +19,12 @@ from normset_lab import (
     order_hfd_witness,
     order_of,
 )
-from normset_lab import hfd_lab
+from normset_lab import hfd_lab, monoid_core
 from normset_lab.hfd_lab import HFD_DS, UFD_DS
 from normset_lab.arith import factorize, is_squarefree
+from normset_lab.class_groups import class_number
 from normset_lab.cli import main
-from normset_lab.monoid_core import FactorMultiset, FactorSession, WindowVerdict
+from normset_lab.monoid_core import FactorMultiset, FactorSession
 from normset_lab.quadratic import QuadElem, _element_kernel, canonical_associate, factor_element
 
 
@@ -65,9 +66,10 @@ def test_carlitz_rejects_wrong_orders():
         carlitz_verdict(order_of(-3, 2))
 
 
-def test_carlitz_tiny_bound_exhausts():
-    with pytest.raises(WitnessSearchExhausted):
-        carlitz_verdict(order_of(-14), witness_bound=2)
+def test_carlitz_tiny_bound_exhausts(monkeypatch):
+    monkeypatch.setattr(hfd_lab, "HFD_WITNESS_BOUND", 2)
+    with pytest.raises(WitnessSearchExhausted, match="window size <= 2"):
+        carlitz_verdict(order_of(-14))
 
 
 # ---------------------------------------------------------------------------
@@ -154,36 +156,35 @@ def test_exception_pair_lengths_are_lambda_of_the_norm():
 
 
 def test_exception_pair_runs_no_window(monkeypatch):
-    exception = order_of(-3, 2)
-    bounded, window = hfd_lab.bounded_hfd_check, hfd_lab.is_hfm_window
+    window = hfd_lab.is_hfm_window
     scanned = []
-
-    def no_window_for_the_exception(order, B):
-        if order == exception:
-            raise AssertionError("window scan for Z[sqrt(-3)]")
-        return bounded(order, B)
-
-    monkeypatch.setattr(hfd_lab, "bounded_hfd_check", no_window_for_the_exception)
     monkeypatch.setattr(hfd_lab, "is_hfm_window",
                         lambda view, B: scanned.append(view.name) or window(view, B))
     v = order_hfd_witness(-3, 2)
     assert (v.verdict, v.method, v.witness, v.element) == ("hfd", "order_argument", None, None)
     report = classification_check()
     assert len(report) == 151 and report.ok
-    assert f"elements of {exception}" not in scanned
-    assert len(scanned) == 3  # the d = -3, n = 3, 4, 5 windows
+    assert scanned == []
 
 
-def test_order_witness_exception_pair_reports_failed_window(monkeypatch):
-    # with a hypothesis of the conductor lemma broken, (-3, 2) goes to the window
-    x = order_of(-3, 2).element(4, 0)
-    short, long_ = FactorMultiset((x,)), FactorMultiset((x, x))
-    monkeypatch.setattr(hfd_lab, "class_number", lambda disc: 2)
-    monkeypatch.setattr(hfd_lab, "bounded_hfd_check",
-                        lambda order, B: WindowVerdict(False, B, (x, short, long_)))
-    v = order_hfd_witness(-3, 2)
-    assert v.verdict == "not_hfd" and v.method == "direct_window"
-    assert v.element == x and v.witness == (short, long_)
+def test_witness_skips_a_failing_candidate(monkeypatch):
+    # in Z[sqrt(-3)], 2 + w = sqrt(-3)*(1 - sqrt(-3)) splits: no witness
+    exception = order_of(-3, 2)
+    assert not FactorSession(_element_kernel(exception)).is_atom((2, 1))
+    with pytest.raises(WitnessSearchExhausted, match="none passed"):
+        hfd_lab._norm_witness(exception, 0, [(2, 1)], "direct_window", "none passed")
+    # a square of the d = -14 witness splits and is passed over for the next
+    order = order_of(-14)
+    g = (2, 1)
+    square = _element_kernel(order).op(g, g)
+    assert square[1] and not FactorSession(_element_kernel(order)).is_atom(square)
+    v = hfd_lab._norm_witness(order, 0, [(3, 0), square, g], "carlitz", "none passed")
+    assert v == carlitz_verdict(order)
+    # and so is an atom whose norm has a rational prime that is no atom
+    is_atom = FactorSession.is_atom
+    monkeypatch.setattr(FactorSession, "is_atom", lambda self, x: x != (3, 0) and is_atom(self, x))
+    with pytest.raises(WitnessSearchExhausted, match="none passed"):
+        hfd_lab._norm_witness(order, 0, [g], "carlitz", "none passed")
 
 
 @pytest.mark.parametrize("name,value", [
@@ -192,9 +193,8 @@ def test_order_witness_exception_pair_reports_failed_window(monkeypatch):
     ("units", lambda order: range(4 if order.is_maximal else 2)),  # index 2
 ])
 def test_exception_pair_without_the_lemma_is_no_verdict(monkeypatch, name, value):
-    # a window that holds proves nothing past its size
+    # no candidate passes in a half-factorial order, and none is a verdict
     monkeypatch.setattr(hfd_lab, name, value)
-    monkeypatch.setattr(hfd_lab, "bounded_hfd_check", lambda order, B: WindowVerdict(True, B))
     with pytest.raises(WitnessSearchExhausted, match="no two-length element"):
         order_hfd_witness(-3, 2)
 
@@ -234,18 +234,67 @@ def test_order_witness_is_two_atoms_against_the_primes_of_the_norm():
         assert _remultiplies(v)
 
 
-def test_classification_lists_factorizations_only_in_d_minus_3_windows(monkeypatch):
-    listed = []
-    factorizations = FactorSession.factorizations
+MAXIMAL_H3 = [order_of(d) for d in range(-14, -400, -1)
+              if is_squarefree(d) and class_number(order_of(d).discriminant) >= 3]
+D_MINUS_3 = [order_of(-3, n) for n in range(3, 13)]
 
-    def counted(self, x):
-        listed.append(self.view.name)
-        return factorizations(self, x)
 
-    monkeypatch.setattr(FactorSession, "factorizations", counted)
+def test_verdicts_run_no_window_and_list_no_factorizations(monkeypatch):
+    calls = []
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: calls.append(name) or real(*a))
+
+    for owner, name in ((hfd_lab, "is_hfm_window"), (monoid_core, "is_hfm_window"),
+                        (FactorSession, "factorizations"), (FactorSession, "lengths")):
+        counted(owner, name)
+    assert len(MAXIMAL_H3) == 218
     assert classification_check().ok
-    assert listed  # the d = -3 windows list their witness's factorizations
-    assert set(listed) <= {f"elements of {order_of(-3, n)}" for n in (3, 4, 5)}
+    assert all(carlitz_verdict(o).verdict == "not_hfd" for o in MAXIMAL_H3)
+    assert calls == []
+
+
+@pytest.fixture(scope="module")
+def window_verdicts():
+    return [carlitz_verdict(o) for o in MAXIMAL_H3] + [
+        order_hfd_witness(-3, o.n) for o in D_MINUS_3]
+
+
+def test_witness_is_the_window_witness(window_verdicts):
+    # bounded_hfd_check is the oracle: the first element of the window with
+    # two lengths, its first shortest and its first longest factorization
+    for v in window_verdicts:
+        chk = bounded_hfd_check(v.order, hfd_lab.HFD_WITNESS_BOUND)
+        assert (v.element, *v.witness) == chk.witness, v.order
+
+
+def test_every_witness_is_atoms_multiplying_to_the_norm(window_verdicts, report):
+    rows = [r for r in report if r.witness is not None]
+    assert len(rows) == 123
+    assert all(_remultiplies(v) for v in window_verdicts)
+    witnessed = [(v.order, v.witness) for v in window_verdicts] + [
+        (order_of(r.d, r.n), r.witness) for r in rows]
+    for order, (short, long_) in witnessed:
+        session = FactorSession(_element_kernel(order))
+        assert all(session.is_atom((x.a, x.b)) for x in (*short, *long_)), order
+        m = short.atoms[0].norm()
+        assert canonical_associate(reduce(mul, short.atoms)) == order.element(m)
+        assert reduce(mul, long_.atoms) == order.element(m)
+        assert (short.length, long_.length) == (2, sum(e for _, e in factorize(m))), order
+
+
+def test_d_minus_3_fallback_passes_at_every_n(monkeypatch):
+    # with no window, n + w is the witness: N = 3n^2, lengths 2 and 1 + 2*Omega(n)
+    monkeypatch.setattr(hfd_lab, "HFD_WITNESS_BOUND", 0)
+    for n in range(3, 41):
+        v = order_hfd_witness(-3, n)
+        order = v.order
+        assert v.element == order.element(3 * n * n)
+        assert order.element(n, 1) in v.witness[0].atoms
+        omega = sum(e for _, e in factorize(n))
+        assert (len(v.witness[0]), len(v.witness[1])) == (2, 1 + 2 * omega)
+        assert _remultiplies(v)
 
 
 def test_order_witness_validation():
