@@ -6,6 +6,11 @@ What is worth saving is repetition: the divisor-pair walks of the element
 kernel and the normset view ask for the same few integers over and over,
 so lower_divisors keeps each one's small divisors in one bounded memo
 shared by every kernel, session and call.
+
+sqrt_mod lists every square root of a residue modulo any n >= 1 over
+factorize(n): Tonelli-Shanks at each prime, Hensel lifting to its power,
+and the Chinese remainder theorem across them. The real norm solver
+(quadratic._norm_solve) reads its roots of beta^2 = D (mod 4|m|).
 """
 
 from functools import lru_cache
@@ -106,3 +111,62 @@ def kronecker(a: int, n: int) -> int:
             sign = -sign
         a %= n
     return sign if n == 1 else 0
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """A root of x^2 = a (mod p) for an odd prime p not dividing a, by
+    Tonelli-Shanks, or None when a is a non-residue.
+    """
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    s, q = 0, p - 1
+    while q % 2 == 0:
+        s, q = s + 1, q // 2
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, x, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        x, t = x * b % p, t * c % p
+    return x
+
+
+def sqrt_mod(a: int, n: int) -> list[int]:
+    """Every x in [0, n) with x^2 = a (mod n), ascending, for n >= 1.
+
+    Modulo each prime power p^e of n: the roots modulo p (Tonelli-Shanks,
+    or 0 when p | a, or a mod 2), lifted one power at a time. A root r
+    prime to an odd p has the one Hensel lift r - (r^2 - a)/(2r); any
+    other root tries its p lifts r + j*p^k. The prime powers' roots are
+    joined by the Chinese remainder theorem.
+    """
+    if n < 1:
+        raise ValueError("sqrt_mod needs a modulus n >= 1")
+    roots, mod = [0], 1
+    for p, e in factorize(n):
+        if p == 2 or a % p == 0:
+            rs = [a % p]
+        else:
+            r = _sqrt_mod_prime(a % p, p)
+            if r is None:
+                return []
+            rs = [r, p - r]
+        pk = p
+        for _ in range(e - 1):
+            nxt = pk * p
+            lifted = []
+            for r in rs:
+                if p > 2 and r % p:
+                    lifted.append((r - (r * r - a) * pow(2 * r, -1, nxt)) % nxt)
+                else:
+                    lifted += [x for x in range(r, nxt, pk) if (x * x - a) % nxt == 0]
+            rs, pk = lifted, nxt
+        inv = pow(mod, -1, pk)
+        roots = [r + mod * ((s - r) * inv % pk) for r in roots for s in rs]
+        mod *= pk
+    return sorted(roots)

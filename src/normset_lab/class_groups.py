@@ -31,7 +31,7 @@ from math import gcd, isqrt
 from .arith import divisors, factorize, kronecker
 from .errors import BadDiscriminant
 from .monoid_core import AbelianGroup, invariant_factors_from_table
-from .quadratic import QuadraticField, QuadraticOrder
+from .quadratic import QuadraticField, QuadraticOrder, _rho
 
 
 @dataclass(frozen=True)
@@ -113,17 +113,12 @@ def is_reduced_indefinite(f: BQForm) -> bool:
 
 
 def rho_step(f: BQForm) -> BQForm:
-    """One step of the indefinite reduction operator; on reduced forms it
-    walks the form's cycle.
+    """One step of the indefinite reduction operator (quadratic._rho, which
+    the real norm solver also walks); on reduced forms it walks the form's
+    cycle.
     """
     D = f.discriminant()
-    s = isqrt(D)
-    c = f.c
-    ac = abs(c)
-    # r = -b mod 2|c|, placed in (-|c|, |c|] or (s - 2|c|, s]
-    lo = (-ac + 1) if ac > s else (s - 2 * ac + 1)
-    r = lo + ((-f.b - lo) % (2 * ac))
-    return BQForm(c, r, (r * r - D) // (4 * c))
+    return BQForm(*_rho(f.a, f.b, f.c, D, isqrt(D)))
 
 
 def reduce_indefinite(f: BQForm) -> BQForm:

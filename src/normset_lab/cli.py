@@ -462,9 +462,11 @@ def main(argv=None) -> int:
         command = " ".join(filter(None, (args.command, getattr(args, "normset_op", None))))
         record = {"command": command, "answer": "unknown",
                   "reason": type(e).__name__, "detail": str(e)}
-        bound = getattr(args, "bound", None)
-        if bound is not None:
-            record["bound_used"] = bound
+        # a refused search names the bound it was given, null for none
+        if isinstance(e, NeedsBound):
+            record["bound_used"] = e.bound
+        elif getattr(args, "bound", None) is not None:
+            record["bound_used"] = args.bound
         _emit(args.format, record)
         return EXIT_UNKNOWN
     _emit(args.format, payload)

@@ -14,7 +14,14 @@ class BadDiscriminant(NormsetLabError):
 
 
 class NeedsBound(NormsetLabError):
-    """An exact answer requires a search bound the caller did not supply."""
+    """An exact answer requires a search bound the caller did not supply, or
+    one past what the search will run; `bound` is the bound the refused
+    search was given, None when there was none.
+    """
+
+    def __init__(self, message, bound=None):
+        super().__init__(message)
+        self.bound = bound
 
 
 class NotMember(NormsetLabError):

@@ -46,6 +46,7 @@ from .monoid_core import FactorMultiset, FactorSession, MonoidView
 from .quadratic import (
     QuadElem,
     QuadraticOrder,
+    _exact_roots,
     _norm_table,
     divide_exact,
     elements_of_norm,
@@ -99,12 +100,15 @@ class NormsetHandle:
     norm scan on either kind of order, b_max the exact search bound that
     members_up_to solved at B for a real order), and, when the policy asks
     the ideal backend, a class table (class_groups.ideal_class_table, one
-    sieve). The window's membership is read from them, and every later
-    query of such an m that would search at the exact bound, or compute the
-    classes of norm |m|, reads them too, with the same verdict. A real order
-    whose exact search bound at B passes the ceiling gets no tables and asks
-    each m in turn. Memo and tables are caches only; concurrent queries at
-    worst recompute an entry.
+    sieve). The window's membership is read from them once, into the set of
+    members they certify; the normset view's member test reads that set
+    (_is_member), and every later query of such an m that would search at
+    the exact bound, or compute the classes of norm |m|, reads the tables,
+    with the same verdict. A real order whose exact search bound at B
+    passes the ceiling gets no tables and asks each m in turn. A single
+    exact search outside a window reads quadratic._exact_roots, which
+    solves rather than scans past its crossover. Memo, tables and set are
+    caches only; concurrent queries at worst recompute an entry.
     """
 
     def __init__(self, order: QuadraticOrder, policy: str = "auto"):
@@ -115,7 +119,8 @@ class NormsetHandle:
         self._verdicts: dict = {}
         self._norms: dict[int, QuadElem] = {}
         self._classes: list[set[int] | None] | None = None  # ideal backend only
-        self._norms_bound = 1  # the tables cover 2 <= |m| <= this
+        self._members: set[int] = set()  # the members the tables certify
+        self._norms_bound = 1  # the tables and members cover 2 <= |m| <= this
 
     # -- membership ---------------------------------------------------
 
@@ -163,38 +168,54 @@ class NormsetHandle:
         """Members m with 2 <= |m| <= size_bound, ascending by |m| with the
         positive sign first. Unit members (+-1) are excluded.
 
-        The window is read from the tables the policy names, filled up to
-        size_bound first; under "both" the two tables must agree on every m,
-        and a "yes" of the ideal backend must find its witness in the norm
-        table. A real order whose exact search bound at size_bound passes
-        the ceiling asks contains(m) for each m instead.
+        The window is read from the member set that the policy's tables
+        certify when they are filled up to size_bound; under "both" the two
+        tables must agree on every m, and a "yes" of the ideal backend must
+        find its witness in the norm table. A real order whose exact search
+        bound at size_bound passes the ceiling asks contains(m) for each m
+        instead.
         """
         order = self.order
         signs = (1,) if order.is_imaginary else (1, -1)
-        if size_bound > self._norms_bound:
-            b_max = None if order.is_imaginary else exact_real_search_bound(order, size_bound)
-            if b_max is None or b_max <= _REAL_SEARCH_CEILING:
-                if self._backend() != "form_search":
-                    self._classes = ideal_class_table(_ideal_group(order), size_bound)
-                self._norms = _norm_table(order, -size_bound, size_bound, b_max)
-                self._norms_bound = size_bound
         window = [s * k for k in range(2, size_bound + 1) for s in signs]
         if size_bound > self._norms_bound:
-            return [m for m in window if self.contains(m).answer == "yes"]
+            b_max = None if order.is_imaginary else exact_real_search_bound(order, size_bound)
+            if b_max is not None and b_max > _REAL_SEARCH_CEILING:
+                return [m for m in window if self.contains(m).answer == "yes"]
+            if self._backend() != "form_search":
+                self._classes = ideal_class_table(_ideal_group(order), size_bound)
+            self._norms = _norm_table(order, -size_bound, size_bound, b_max)
+            self._members = self._certify(window)
+            self._norms_bound = size_bound
+        return [m for m in window if m in self._members]
+
+    def _certify(self, window: list[int]) -> set[int]:
+        """The members of the window by the tables just filled: the norm
+        table's, or the ideal backend's, each of which must find its witness
+        in the norm table and, under "both", agree with it.
+        """
         if self._classes is None:
-            return [m for m in window if m in self._norms]
-        cg = _ideal_group(order)
+            return set(self._norms)
+        cg = _ideal_group(self.order)
         both = self._backend() == "both"
-        out = []
+        out = set()
         for m in window:
             ideal = _is_ideal_norm(cg, m, self._classes)
             if ideal and m not in self._norms:
-                raise _uncertified(order, m)
+                raise _uncertified(self.order, m)
             if both and not ideal and m in self._norms:
                 raise _disagreement(self, m, "yes", "no")
             if ideal:
-                out.append(m)
+                out.add(m)
         return out
+
+    def _is_member(self, m: int) -> bool:
+        """contains(m) is "yes": read from the window's member set when it
+        covers m, so a window's divisor tests reach no verdict.
+        """
+        if 2 <= abs(m) <= self._norms_bound:
+            return m in self._members
+        return self.contains(m).answer == "yes"
 
     def __str__(self):
         return f"normset of {self.order}"
@@ -223,9 +244,9 @@ def _form_search_contains(order: QuadraticOrder, m: int, bound: int | None,
     always exact. A real search runs to |b| <= min(bound, exact bound), to
     the exact bound when no bound is given, and is refused with NeedsBound
     when that passes the ceiling. A search at the exact bound reads the
-    entry for m of a norm table, the window's when it covers m, else
-    norm_table(order, m, m) built at the exact bound held here, and answers
-    yes or no; a shorter one that finds nothing answers unknown.
+    entry for m of the window's norm table when it covers m, else the first
+    of _exact_roots (real) or norm_table(order, m, m) (imaginary), and
+    answers yes or no; a shorter one that finds nothing answers unknown.
     """
     exact_b = None if order.is_imaginary else exact_real_search_bound(order, m)
     sb = exact_b if bound is None or exact_b is None else min(bound, exact_b)
@@ -233,9 +254,13 @@ def _form_search_contains(order: QuadraticOrder, m: int, bound: int | None,
         hint = ("pass an explicit bound" if bound is None
                 else f"pass a bound <= {_REAL_SEARCH_CEILING}")
         raise NeedsBound(
-            f"exact search for norm {m} in {order} needs |b| <= {exact_b}; {hint}")
+            f"exact search for norm {m} in {order} needs |b| <= {exact_b}; {hint}", bound)
     if sb == exact_b:
-        wit = (_norm_table(order, m, m, exact_b) if table is None else table).get(m)
+        if table is None and exact_b is not None:
+            sols = _exact_roots(order, m, exact_b)
+            wit = QuadElem(order, *sols[0]) if sols else None
+        else:
+            wit = (_norm_table(order, m, m, None) if table is None else table).get(m)
         return Verdict("no" if wit is None else "yes", wit, sb, "form_search", m)
     sols = elements_of_norm(order, m, search_bound=sb)
     if sols:
@@ -296,7 +321,7 @@ def _ideal_contains(order: QuadraticOrder, m: int, bound: int | None,
         raise NeedsBound(
             f"norm {m} in {order} has an element but none with |b| <= "
             f"{search.bound_used}; the exact search needs |b| <= "
-            f"{exact_real_search_bound(order, m)}")
+            f"{exact_real_search_bound(order, m)}", bound)
     return Verdict("yes", search.witness, None, "ideal_theoretic", m)
 
 
@@ -310,13 +335,11 @@ def normset_monoid_view(ns: NormsetHandle) -> MonoidView:
     When -1 is a member the two signs of m are associates and the positive
     one is canonical; otherwise members keep their sign and the only unit
     is 1. Divisibility is normset divisibility: d | m requires the integer
-    cofactor to be a member too.
+    cofactor to be a member too, read by NormsetHandle._is_member.
     """
     neg_unit = ns.contains(-1).answer == "yes"
     signs = (1,) if (ns.order.is_imaginary or neg_unit) else (1, -1)
-
-    def member(m: int) -> bool:
-        return ns.contains(m).answer == "yes"
+    member = ns._is_member
 
     def canon(m: int) -> int:
         return abs(m) if neg_unit else m

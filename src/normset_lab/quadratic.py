@@ -18,14 +18,19 @@ walks t^2 = 4m + D*b^2, and emb(x) >= |conj(x)| iff t >= 0 and b >= 0.
 
 Everything is exact integer arithmetic; there is not a float in sight.
 Real orders get elements_of_norm with unit reduction, and fundamental units
-via the continued fraction of w. Every norm search and table runs one scan,
-_norm_scan, over the roots t >= 0 of t^2 = 4N + D*b^2 for N in a range and
-b in a range; the solutions with t < 0 are the negatives. norm_table(order,
-lo, hi) keeps, for every norm of the range, the solution a single exact
-search for that norm returns: on a real order it walks only the integer
-fundamental domain of canonical_associate, testing signs instead of sliding
-by units. A normset window reads it beside the ideal backend's class sieve
-(class_groups.ideal_class_table).
+via the continued fraction of w. Norm tables, imaginary searches and bounded
+real searches run one scan, _norm_scan, over the roots t >= 0 of
+t^2 = 4N + D*b^2 for N in a range and b in a range; the solutions with t < 0
+are the negatives. norm_table(order, lo, hi) keeps, for every norm of the
+range, the solution a single exact search for that norm returns: on a real
+order it walks only the integer fundamental domain of canonical_associate,
+testing signs instead of sliding by units. A normset window reads it beside
+the ideal backend's class sieve (class_groups.ideal_class_table). A single
+exact real search whose bound reaches _SOLVE_CROSSOVER b-values solves
+instead (_norm_solve): N(x) is the principal form (1, p, -q), so each
+primitive solution comes from a root beta of beta^2 = D (mod 4|m|) whose
+form (m, beta, .) reduces, by the rho-step _rho that class_groups also
+reads, to the principal form. The list is the scan's.
 
 Element factorization, for imaginary orders only, runs on an integer kernel
 (_element_kernel) over canonical (a, b) int pairs, with the integer helpers
@@ -38,10 +43,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable
 
-from .arith import is_squarefree, lower_divisors
+from .arith import factorize, is_squarefree, lower_divisors, sqrt_mod
 from .errors import BadDiscriminant, NeedsBound
 from .monoid_core import FactorMultiset, FactorSession, MonoidView
 
@@ -472,6 +477,91 @@ def _norm_table(order: QuadraticOrder, lo: int, hi: int,
     return {m: QuadElem(order, a, b) for m, (_, a, b) in best.items()}
 
 
+# a single exact real search scans b <= its exact bound below this many b,
+# and solves by primitive representations (_norm_solve) from it on: the two
+# take the same median time near 60-100 b-values (CPython 3.11, one core)
+_SOLVE_CROSSOVER = 100
+
+
+def _rho(a: int, b: int, c: int, D: int, s: int) -> tuple[int, int, int]:
+    """One step of the indefinite reduction operator on the form (a, b, c)
+    of discriminant D > 0, s = isqrt(D): (c, r, (r^2 - D)/(4c)) with
+    r = -b (mod 2|c|) placed in (-|c|, |c|], or in (s - 2|c|, s] when
+    |c| <= s. It is the form taken through [[0, -1], [1, (b + r)/(2c)]],
+    in SL2(Z); on reduced forms it walks the form's cycle.
+    """
+    ac = abs(c)
+    lo = (-ac + 1) if ac > s else (s - 2 * ac + 1)
+    r = lo + ((-b - lo) % (2 * ac))
+    return c, r, (r * r - D) // (4 * c)
+
+
+def _principal_rep(order: QuadraticOrder, a: int, b: int, c: int) -> tuple[int, int] | None:
+    """(x, y) with N(x + y*w) = a, from a form F = (a, b, c) of the order's
+    discriminant properly equivalent to the principal form (1, p, -q), or
+    None when F is not. Rho-steps take F through M in SL2(Z) to a form of
+    leading coefficient 1, which is (1, p, -q) through [[1, k], [0, 1]],
+    k = (b' - p)/2; so F is the principal form through [[1, k], [0, 1]]
+    M^-1, whose first column is (x, y). Only the second row of M is
+    needed. A walk that comes back to its first reduced form gives None.
+    """
+    D, p = order.discriminant, order.p
+    s = isqrt(D)
+    y, z = 0, 1
+    start = None
+    while a != 1:
+        if start is None:
+            if 0 < b <= s and s + 1 - b <= 2 * abs(a) <= s + b:
+                start = a, b
+        elif (a, b) == start:
+            return None
+        a, r, c = _rho(a, b, c, D, s)
+        y, z = z, (b + r) // (2 * a) * z - y
+        b = r
+    k = (b - p) // 2
+    return z - k * y, -y
+
+
+def _norm_solve(order: QuadraticOrder, m: int) -> list[tuple[int, int]]:
+    """The (a, b) of _domain_roots(order, m, m, exact bound) on a real order,
+    sorted by _sol_key, without a scan. For each g with g^2 | m, each root
+    beta of beta^2 = D (mod 4|m'|), 0 <= beta < 2|m'|, m' = m/g^2, whose
+    form (m', beta, (beta^2 - D)/(4m')) is primitive and properly equivalent
+    to the principal form gives one primitive solution up to norm-+1 units
+    (Buell, Binary Quadratic Forms, ch. 2; Cohen, GTM 138, 5.6): its
+    canonical same-norm associate, times g.
+    """
+    gs = [1]
+    for r, e in factorize(m):
+        gs = [g * r**k for g in gs for k in range(e // 2 + 1)]
+    D, sols = order.discriminant, []
+    for g in gs:
+        mp = m // (g * g)
+        for beta in sqrt_mod(D, 4 * abs(mp)):
+            if beta >= 2 * abs(mp):
+                break
+            c = (beta * beta - D) // (4 * mp)
+            if gcd(mp, beta, c) != 1:
+                continue
+            x = _principal_rep(order, mp, beta, c)
+            if x is not None:
+                x = canonical_associate(QuadElem(order, *x), same_norm=True)
+                sols.append((g * x.a, g * x.b))
+    return sorted(sols, key=_sol_key)
+
+
+def _exact_roots(order: QuadraticOrder, m: int, exact_b: int) -> list[tuple[int, int]]:
+    """The (a, b) of norm m in the fundamental domain of a real order, sorted
+    by _sol_key: a scan of b <= exact_b = exact_real_search_bound(order, m)
+    (_domain_roots) below _SOLVE_CROSSOVER, else _norm_solve.
+    """
+    if exact_b >= _SOLVE_CROSSOVER:
+        return _norm_solve(order, m)
+    p = order.p
+    return sorted((((t - p * b) // 2, b) for _, t, b in _domain_roots(order, m, m, exact_b)),
+                  key=_sol_key)
+
+
 def elements_of_norm(order: QuadraticOrder, m: int, search_bound: int | None = None) -> NormSolutions:
     """All order elements of norm m, sorted by _sol_key.
 
@@ -492,12 +582,10 @@ def elements_of_norm(order: QuadraticOrder, m: int, search_bound: int | None = N
         raise NeedsBound(f"norm search in real order {order} needs a b-coordinate bound")
     exact_b = exact_real_search_bound(order, m)
     if search_bound >= exact_b:
-        sols = [QuadElem(order, (t - p * b) // 2, b)
-                for _, t, b in _domain_roots(order, m, m, exact_b)]
-    else:
-        sols = {canonical_associate(QuadElem(order, (t - p * b) // 2, b), same_norm=True)
-                for _, t, b in _norm_scan(order, m, m, range(-search_bound, search_bound + 1))}
-    return NormSolutions(sorted(sols, key=_sol_key), exact=search_bound >= exact_b)
+        return NormSolutions([QuadElem(order, a, b) for a, b in _exact_roots(order, m, exact_b)])
+    sols = {canonical_associate(QuadElem(order, (t - p * b) // 2, b), same_norm=True)
+            for _, t, b in _norm_scan(order, m, m, range(-search_bound, search_bound + 1))}
+    return NormSolutions(sorted(sols, key=_sol_key), exact=False)
 
 
 # ---------------------------------------------------------------------------

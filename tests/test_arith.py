@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from normset_lab.arith import (divisors, factorize, is_square, is_squarefree, kronecker,
-                               lower_divisors)
+                               lower_divisors, sqrt_mod)
+from normset_lab.quadratic import order_of
 
 
 def test_factorize_small_table():
@@ -105,3 +106,40 @@ def test_kronecker_discriminant_periodicity():
         assert D % 4 in (0, 1)
         for n in range(1, 3 * abs(D)):
             assert kronecker(D, n) == kronecker(D, n + abs(D))
+
+
+def _roots_by_brute_force(a, n):
+    return [x for x in range(n) if (x * x - a) % n == 0]
+
+
+def test_sqrt_mod_small_table():
+    assert sqrt_mod(5, 1) == [0]
+    assert sqrt_mod(1, 8) == [1, 3, 5, 7]
+    assert sqrt_mod(0, 16) == [0, 4, 8, 12]
+    assert sqrt_mod(3, 7) == []
+    assert sqrt_mod(-1, 25) == [7, 18]
+    assert sqrt_mod(136, 4 * 9) == [8, 10, 26, 28]  # D of Z[sqrt 34] mod 4*9
+    with pytest.raises(ValueError):
+        sqrt_mod(1, 0)
+
+
+@given(st.integers(min_value=-10**4, max_value=10**4),
+       st.integers(min_value=1, max_value=10**4))
+def test_sqrt_mod_brute_force(a, n):
+    assert sqrt_mod(a, n) == _roots_by_brute_force(a, n)
+
+
+# discriminants D = n^2 * D_K of orders of both signs, maximal and not
+ORDER_DISCRIMINANTS = [order_of(d, n).discriminant
+                       for d in (-1, -3, -5, -14, 2, 3, 5, 6, 13, 34, 97)
+                       for n in (1, 2, 3, 4, 6)]
+
+
+@given(st.sampled_from(ORDER_DISCRIMINANTS), st.integers(min_value=1, max_value=2500),
+       st.integers(min_value=0, max_value=6))
+def test_sqrt_mod_of_order_discriminants(D, k, e):
+    # the moduli 4|m| of the norm solver, some with a prime of D raised to e
+    p = factorize(D)[k % len(factorize(D))][0]
+    n = 4 * k * p**e
+    assume(n <= 10**4)
+    assert sqrt_mod(D, n) == _roots_by_brute_force(D, n)

@@ -177,14 +177,17 @@ def test_ideal_witness_at_or_above_exact_bound_is_unchanged():
                 plain.answer, plain.witness, None, "ideal_theoretic", m)
 
 
-@pytest.mark.parametrize("policy,orders", [
+POLICY_ORDERS = [
     ("auto", [(2, 1), (5, 1), (10, 1), (13, 1), (34, 1), (155, 1),
               (-1, 1), (-5, 1), (-3, 2)]),
     ("form_search", [(2, 1), (10, 1), (13, 1), (2, 2), (3, 2), (5, 2), (5, 3),
                      (-2, 1), (-23, 3)]),
     ("both", [(2, 1), (5, 1), (10, 1), (34, 1), (-5, 1), (-14, 1)]),
     ("ideal_theoretic", [(2, 1), (5, 1), (34, 1), (-1, 1), (-3, 1), (-23, 1)]),
-])
+]
+
+
+@pytest.mark.parametrize("policy,orders", POLICY_ORDERS)
 def test_norm_table_verdicts_equal_fresh_handle(policy, orders):
     for d, n in orders:
         order = order_of(d, n)
@@ -205,6 +208,34 @@ def test_norm_table_verdicts_equal_fresh_handle(policy, orders):
         assert ns._verdicts
         for (m, bound), v in ns._verdicts.items():
             assert NormsetHandle(order, policy=policy).contains(m, bound) == v, (d, n, m, bound)
+
+
+@pytest.mark.parametrize("policy,orders", POLICY_ORDERS)
+def test_window_member_set_reads_as_contains(policy, orders):
+    # the view's member test reads the set members_up_to certified; a fresh
+    # handle answers each m by its own search or class test
+    for d, n in orders:
+        order = order_of(d, n)
+        ns = NormsetHandle(order, policy=policy)
+        members = ns.members_up_to(120)
+        for m in (s * k for k in range(2, 121) for s in (1, -1)):
+            fresh = NormsetHandle(order, policy=policy).contains(m).answer == "yes"
+            assert ns._is_member(m) == fresh == (m in members), (d, n, m)
+        assert not ns._verdicts
+
+
+def test_window_divisor_tests_reach_no_verdict(monkeypatch):
+    decided = []
+    decide = NormsetHandle._decide
+
+    def counted(self, m, bound):
+        decided.append(m)
+        return decide(self, m, bound)
+
+    monkeypatch.setattr(NormsetHandle, "_decide", counted)
+    atoms = irreducibles_up_to(normset_of(order_of(34)), 300)
+    assert atoms[:6] == [2, 9, -9, 15, -15, -17]
+    assert not [m for m in decided if 2 <= abs(m) <= 300]
 
 
 # imaginary and real, maximal and non-maximal
@@ -346,7 +377,7 @@ def test_policy_both_searches_once_per_query(monkeypatch):
     # the ideal backend reads the element search's verdict instead of
     # running the same search again for its witness
     searches = []
-    for name in ("elements_of_norm", "_norm_table"):
+    for name in ("elements_of_norm", "_norm_table", "_exact_roots"):
         def counted(*args, _fn=getattr(normsets, name), **kwargs):
             searches.append(args[1:])
             return _fn(*args, **kwargs)
@@ -372,6 +403,24 @@ def test_policy_both_searches_once_per_query(monkeypatch):
         assert counts[2] == (0 if answers[2] == "no" else counts[0]), (d, m, bound, counts)
     assert {("form_search", "unknown"), ("both", "NeedsBound"), ("both", "yes"),
             ("both", "no"), ("ideal_theoretic", "no")} <= seen
+
+
+def test_single_exact_searches_past_the_crossover_scan_no_b(monkeypatch):
+    walked = []
+    scan = quadratic._norm_scan
+
+    def counted(order, lo, hi, bs):
+        return scan(order, lo, hi, (walked.append(b) or b for b in bs))
+
+    monkeypatch.setattr(quadratic, "_norm_scan", counted)
+    # Z[3*sqrt 6]: the exact search for 668299 would walk 60,076 b-values
+    order = order_of(6, 3)
+    assert exact_real_search_bound(order, 668299) == 60075
+    v = normset_of(order).contains(668299)
+    assert (v.answer, str(v.witness)) == ("yes", "857+35*w")
+    cert = is_ufd(order_of(129))
+    assert cert and [str(r.witness) for r in cert.rows] == ["5+1*w", "145+28*w", "31+6*w"]
+    assert walked == []
 
 
 def test_verdict_record_shape(capsys):

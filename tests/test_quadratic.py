@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,7 +7,8 @@ from math import isqrt
 
 from normset_lab.arith import divisors, is_square, is_squarefree
 from normset_lab.errors import BadDiscriminant, NeedsBound
-from normset_lab.quadratic import (QuadElem, _element_kernel, _sol_key,
+from normset_lab.quadratic import (_SOLVE_CROSSOVER, QuadElem, _domain_roots,
+                                   _element_kernel, _norm_solve, _sol_key,
                                    canonical_associate, divide_exact,
                                    element_monoid_view,
                                    elements_of_norm, exact_real_search_bound,
@@ -527,6 +530,39 @@ def test_imag_norm_scan_matches_loop_oracles(d, n):
         bmax = isqrt(4 * m // -order.discriminant) if m > 0 else -1
         sols = elements_of_norm(order, m)
         assert sols.exact and sols == sorted(_norm_solutions(order, m, bmax), key=_sol_key), m
+
+
+# The primitive-representation solver against the scan it replaces for
+# single exact searches, on squarefree 2 <= d < 60, n <= 3: every
+# 2 <= |m| <= 60 and 20 random 2 <= |m| <= 3000 per order. The scan runs only
+# where it walks at most SOLVER_SCAN_CAP b-values, which keeps the test near
+# a second; every list is checked for norm and domain.
+SOLVER_SCAN_CAP = 2000
+
+
+def test_norm_solver_matches_domain_scan():
+    rng = random.Random(32)
+    scanned = past_crossover = 0
+    for d in range(2, 60):
+        if not is_squarefree(d):
+            continue
+        for n in (1, 2, 3):
+            order = order_of(d, n)
+            p = order.p
+            for m in ([s * k for k in range(2, 61) for s in (1, -1)]
+                      + [rng.choice((1, -1)) * rng.randint(2, 3000) for _ in range(20)]):
+                sols = _norm_solve(order, m)
+                for a, b in sols:
+                    x = QuadElem(order, a, b)
+                    assert x.norm() == m and canonical_associate(x, same_norm=True) == x
+                exact_b = exact_real_search_bound(order, m)
+                if exact_b > SOLVER_SCAN_CAP:
+                    continue
+                scan = [((t - p * b) // 2, b) for _, t, b in _domain_roots(order, m, m, exact_b)]
+                assert sols == sorted(scan, key=_sol_key), (d, n, m)
+                scanned += 1
+                past_crossover += exact_b >= _SOLVE_CROSSOVER
+    assert scanned > 11000 and past_crossover > 3500
 
 
 def test_short_bound_search_keeps_canonicalizing_scan():
