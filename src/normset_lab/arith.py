@@ -7,10 +7,11 @@ kernel and the normset view ask for the same few integers over and over,
 so lower_divisors keeps each one's small divisors in one bounded memo
 shared by every kernel, session and call.
 
-sqrt_mod lists every square root of a residue modulo any n >= 1 over
-factorize(n): Tonelli-Shanks at each prime, Hensel lifting to its power,
-and the Chinese remainder theorem across them. The real norm solver
-(quadratic._norm_solve) reads its roots of beta^2 = D (mod 4|m|).
+sqrt_mod lists every square root of a residue modulo any n >= 1, given
+n's factorization: Tonelli-Shanks at each prime, Hensel lifting to its
+power, and the Chinese remainder theorem across them. The real norm solver
+(quadratic._norm_solve) reads its roots of beta^2 = D (mod 4|m'|), each
+modulus factored by taking exponents out of the factorization of 4m.
 """
 
 from functools import lru_cache
@@ -136,8 +137,9 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
     return x
 
 
-def sqrt_mod(a: int, n: int) -> list[int]:
-    """Every x in [0, n) with x^2 = a (mod n), ascending, for n >= 1.
+def sqrt_mod(a: int, factors: list[tuple[int, int]]) -> list[int]:
+    """Every x in [0, n) with x^2 = a (mod n), ascending, where n >= 1 is
+    the product of p^e over factors, as factorize(n) gives them.
 
     Modulo each prime power p^e of n: the roots modulo p (Tonelli-Shanks,
     or 0 when p | a, or a mod 2), lifted one power at a time. A root r
@@ -145,10 +147,8 @@ def sqrt_mod(a: int, n: int) -> list[int]:
     other root tries its p lifts r + j*p^k. The prime powers' roots are
     joined by the Chinese remainder theorem.
     """
-    if n < 1:
-        raise ValueError("sqrt_mod needs a modulus n >= 1")
     roots, mod = [0], 1
-    for p, e in factorize(n):
+    for p, e in factors:
         if p == 2 or a % p == 0:
             rs = [a % p]
         else:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Collection
 
 from .arith import factorize, lower_divisors
 from .class_groups import (
@@ -46,7 +46,7 @@ from .monoid_core import FactorMultiset, FactorSession, MonoidView
 from .quadratic import (
     QuadElem,
     QuadraticOrder,
-    _exact_roots,
+    _norm_solve,
     _norm_table,
     divide_exact,
     elements_of_norm,
@@ -101,14 +101,15 @@ class NormsetHandle:
     members_up_to solved at B for a real order), and, when the policy asks
     the ideal backend, a class table (class_groups.ideal_class_table, one
     sieve). The window's membership is read from them once, into the set of
-    members they certify; the normset view's member test reads that set
+    members they certify, which is the norm table's own keys when there is
+    no class table; the normset view's member test reads that set
     (_is_member), and every later query of such an m that would search at
     the exact bound, or compute the classes of norm |m|, reads the tables,
     with the same verdict. A real order whose exact search bound at B
     passes the ceiling gets no tables and asks each m in turn. A single
-    exact search outside a window reads quadratic._exact_roots, which
-    solves rather than scans past its crossover. Memo, tables and set are
-    caches only; concurrent queries at worst recompute an entry.
+    exact real search outside a window solves (quadratic._norm_solve)
+    rather than scans. Memo, tables and set are caches only; concurrent
+    queries at worst recompute an entry.
     """
 
     def __init__(self, order: QuadraticOrder, policy: str = "auto"):
@@ -119,7 +120,7 @@ class NormsetHandle:
         self._verdicts: dict = {}
         self._norms: dict[int, QuadElem] = {}
         self._classes: list[set[int] | None] | None = None  # ideal backend only
-        self._members: set[int] = set()  # the members the tables certify
+        self._members: Collection[int] = ()  # the members the tables certify
         self._norms_bound = 1  # the tables and members cover 2 <= |m| <= this
 
     # -- membership ---------------------------------------------------
@@ -189,13 +190,14 @@ class NormsetHandle:
             self._norms_bound = size_bound
         return [m for m in window if m in self._members]
 
-    def _certify(self, window: list[int]) -> set[int]:
+    def _certify(self, window: list[int]) -> Collection[int]:
         """The members of the window by the tables just filled: the norm
-        table's, or the ideal backend's, each of which must find its witness
-        in the norm table and, under "both", agree with it.
+        table's keys, read from the table itself, or the ideal backend's,
+        each of which must find its witness in the norm table and, under
+        "both", agree with it.
         """
         if self._classes is None:
-            return set(self._norms)
+            return self._norms
         cg = _ideal_group(self.order)
         both = self._backend() == "both"
         out = set()
@@ -245,7 +247,7 @@ def _form_search_contains(order: QuadraticOrder, m: int, bound: int | None,
     the exact bound when no bound is given, and is refused with NeedsBound
     when that passes the ceiling. A search at the exact bound reads the
     entry for m of the window's norm table when it covers m, else the first
-    of _exact_roots (real) or norm_table(order, m, m) (imaginary), and
+    of _norm_solve (real) or norm_table(order, m, m) (imaginary), and
     answers yes or no; a shorter one that finds nothing answers unknown.
     """
     exact_b = None if order.is_imaginary else exact_real_search_bound(order, m)
@@ -257,7 +259,7 @@ def _form_search_contains(order: QuadraticOrder, m: int, bound: int | None,
             f"exact search for norm {m} in {order} needs |b| <= {exact_b}; {hint}", bound)
     if sb == exact_b:
         if table is None and exact_b is not None:
-            sols = _exact_roots(order, m, exact_b)
+            sols = _norm_solve(order, m)
             wit = QuadElem(order, *sols[0]) if sols else None
         else:
             wit = (_norm_table(order, m, m, None) if table is None else table).get(m)

@@ -26,11 +26,11 @@ range, the solution a single exact search for that norm returns: on a real
 order it walks only the integer fundamental domain of canonical_associate,
 testing signs instead of sliding by units. A normset window reads it beside
 the ideal backend's class sieve (class_groups.ideal_class_table). A single
-exact real search whose bound reaches _SOLVE_CROSSOVER b-values solves
-instead (_norm_solve): N(x) is the principal form (1, p, -q), so each
-primitive solution comes from a root beta of beta^2 = D (mod 4|m|) whose
-form (m, beta, .) reduces, by the rho-step _rho that class_groups also
-reads, to the principal form. The list is the scan's.
+exact real search solves instead (_norm_solve): N(x) is the principal form
+(1, p, -q), so each primitive solution comes from a root beta of
+beta^2 = D (mod 4|m|) whose form (m, beta, .) reduces, by the rho-step _rho
+that class_groups also reads, to the principal form. The list is the one
+the scan of the fundamental domain would give.
 
 Element factorization, for imaginary orders only, runs on an integer kernel
 (_element_kernel) over canonical (a, b) int pairs, with the integer helpers
@@ -477,12 +477,6 @@ def _norm_table(order: QuadraticOrder, lo: int, hi: int,
     return {m: QuadElem(order, a, b) for m, (_, a, b) in best.items()}
 
 
-# a single exact real search scans b <= its exact bound below this many b,
-# and solves by primitive representations (_norm_solve) from it on: the two
-# take the same median time near 60-100 b-values (CPython 3.11, one core)
-_SOLVE_CROSSOVER = 100
-
-
 def _rho(a: int, b: int, c: int, D: int, s: int) -> tuple[int, int, int]:
     """One step of the indefinite reduction operator on the form (a, b, c)
     of discriminant D > 0, s = isqrt(D): (c, r, (r^2 - D)/(4c)) with
@@ -529,15 +523,18 @@ def _norm_solve(order: QuadraticOrder, m: int) -> list[tuple[int, int]]:
     form (m', beta, (beta^2 - D)/(4m')) is primitive and properly equivalent
     to the principal form gives one primitive solution up to norm-+1 units
     (Buell, Binary Quadratic Forms, ch. 2; Cohen, GTM 138, 5.6): its
-    canonical same-norm associate, times g.
+    canonical same-norm associate, times g. Each 4|m'| is factored by
+    taking g's exponents out of factorize(4m).
     """
-    gs = [1]
-    for r, e in factorize(m):
-        gs = [g * r**k for g in gs for k in range(e // 2 + 1)]
+    gs = [(1, [])]  # (g, the factorization of 4|m/g^2|)
+    for r, e in factorize(4 * m):
+        top = e // 2 - (r == 2)  # the 4 of 4m stays in every modulus
+        gs = [(g * r**k, f + [(r, e - 2 * k)] if 2 * k < e else f)
+              for g, f in gs for k in range(top + 1)]
     D, sols = order.discriminant, []
-    for g in gs:
+    for g, f in gs:
         mp = m // (g * g)
-        for beta in sqrt_mod(D, 4 * abs(mp)):
+        for beta in sqrt_mod(D, f):
             if beta >= 2 * abs(mp):
                 break
             c = (beta * beta - D) // (4 * mp)
@@ -550,18 +547,6 @@ def _norm_solve(order: QuadraticOrder, m: int) -> list[tuple[int, int]]:
     return sorted(sols, key=_sol_key)
 
 
-def _exact_roots(order: QuadraticOrder, m: int, exact_b: int) -> list[tuple[int, int]]:
-    """The (a, b) of norm m in the fundamental domain of a real order, sorted
-    by _sol_key: a scan of b <= exact_b = exact_real_search_bound(order, m)
-    (_domain_roots) below _SOLVE_CROSSOVER, else _norm_solve.
-    """
-    if exact_b >= _SOLVE_CROSSOVER:
-        return _norm_solve(order, m)
-    p = order.p
-    return sorted((((t - p * b) // 2, b) for _, t, b in _domain_roots(order, m, m, exact_b)),
-                  key=_sol_key)
-
-
 def elements_of_norm(order: QuadraticOrder, m: int, search_bound: int | None = None) -> NormSolutions:
     """All order elements of norm m, sorted by _sol_key.
 
@@ -569,9 +554,10 @@ def elements_of_norm(order: QuadraticOrder, m: int, search_bound: int | None = N
     Real: requires a search bound on |b|; solutions are reduced modulo the
     norm-+1 unit subgroup to canonical same-norm associates, and the result
     is flagged exact when the bound covers the unit-reduction bound. An
-    exact search keeps the elements of the fundamental domain
-    (_domain_roots); a shorter bound canonicalizes the solutions with
-    t >= 0 and |b| within it, since -x is a same-norm associate of x.
+    exact search returns the elements of the fundamental domain, which
+    _norm_solve finds without a scan; a shorter bound canonicalizes the
+    solutions with t >= 0 and |b| within it, since -x is a same-norm
+    associate of x.
     """
     if m == 0:
         raise ValueError("norm 0 only for the zero element")
@@ -582,7 +568,7 @@ def elements_of_norm(order: QuadraticOrder, m: int, search_bound: int | None = N
         raise NeedsBound(f"norm search in real order {order} needs a b-coordinate bound")
     exact_b = exact_real_search_bound(order, m)
     if search_bound >= exact_b:
-        return NormSolutions([QuadElem(order, a, b) for a, b in _exact_roots(order, m, exact_b)])
+        return NormSolutions([QuadElem(order, a, b) for a, b in _norm_solve(order, m)])
     sols = {canonical_associate(QuadElem(order, (t - p * b) // 2, b), same_norm=True)
             for _, t, b in _norm_scan(order, m, m, range(-search_bound, search_bound + 1))}
     return NormSolutions(sorted(sols, key=_sol_key), exact=False)

@@ -377,7 +377,7 @@ def test_policy_both_searches_once_per_query(monkeypatch):
     # the ideal backend reads the element search's verdict instead of
     # running the same search again for its witness
     searches = []
-    for name in ("elements_of_norm", "_norm_table", "_exact_roots"):
+    for name in ("elements_of_norm", "_norm_table", "_norm_solve"):
         def counted(*args, _fn=getattr(normsets, name), **kwargs):
             searches.append(args[1:])
             return _fn(*args, **kwargs)
@@ -405,7 +405,7 @@ def test_policy_both_searches_once_per_query(monkeypatch):
             ("both", "no"), ("ideal_theoretic", "no")} <= seen
 
 
-def test_single_exact_searches_past_the_crossover_scan_no_b(monkeypatch):
+def test_single_exact_real_searches_scan_no_b(monkeypatch):
     walked = []
     scan = quadratic._norm_scan
 

@@ -7,7 +7,7 @@ from math import isqrt
 
 from normset_lab.arith import divisors, is_square, is_squarefree
 from normset_lab.errors import BadDiscriminant, NeedsBound
-from normset_lab.quadratic import (_SOLVE_CROSSOVER, QuadElem, _domain_roots,
+from normset_lab.quadratic import (QuadElem, _domain_roots,
                                    _element_kernel, _norm_solve, _sol_key,
                                    canonical_associate, divide_exact,
                                    element_monoid_view,
@@ -534,7 +534,7 @@ def test_imag_norm_scan_matches_loop_oracles(d, n):
 
 # The primitive-representation solver against the scan it replaces for
 # single exact searches, on squarefree 2 <= d < 60, n <= 3: every
-# 2 <= |m| <= 60 and 20 random 2 <= |m| <= 3000 per order. The scan runs only
+# 1 <= |m| <= 60 and 20 random 2 <= |m| <= 3000 per order. The scan runs only
 # where it walks at most SOLVER_SCAN_CAP b-values, which keeps the test near
 # a second; every list is checked for norm and domain.
 SOLVER_SCAN_CAP = 2000
@@ -542,14 +542,14 @@ SOLVER_SCAN_CAP = 2000
 
 def test_norm_solver_matches_domain_scan():
     rng = random.Random(32)
-    scanned = past_crossover = 0
+    scanned = 0
     for d in range(2, 60):
         if not is_squarefree(d):
             continue
         for n in (1, 2, 3):
             order = order_of(d, n)
             p = order.p
-            for m in ([s * k for k in range(2, 61) for s in (1, -1)]
+            for m in ([s * k for k in range(1, 61) for s in (1, -1)]
                       + [rng.choice((1, -1)) * rng.randint(2, 3000) for _ in range(20)]):
                 sols = _norm_solve(order, m)
                 for a, b in sols:
@@ -561,8 +561,7 @@ def test_norm_solver_matches_domain_scan():
                 scan = [((t - p * b) // 2, b) for _, t, b in _domain_roots(order, m, m, exact_b)]
                 assert sols == sorted(scan, key=_sol_key), (d, n, m)
                 scanned += 1
-                past_crossover += exact_b >= _SOLVE_CROSSOVER
-    assert scanned > 11000 and past_crossover > 3500
+    assert scanned > 11000
 
 
 def test_short_bound_search_keeps_canonicalizing_scan():
