@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-from .arith import divisors, factorize, kronecker
+from .arith import _sqrt_mod_prime, divisors, factorize, kronecker
 from .errors import BadDiscriminant
 from .monoid_core import AbelianGroup, invariant_factors_from_table
 from .quadratic import QuadraticField, QuadraticOrder, _rho
@@ -122,12 +122,20 @@ def rho_step(f: BQForm) -> BQForm:
 
 
 def reduce_indefinite(f: BQForm) -> BQForm:
-    if f.discriminant() <= 0:
+    """The first reduced form on the rho-walk from f (rho_step repeated
+    until is_reduced_indefinite holds). The walk runs on the integer triple
+    by quadratic._rho, with D and isqrt(D) computed once, and builds one
+    BQForm at the end.
+    """
+    a, b, c = f.a, f.b, f.c
+    D = b * b - 4 * a * c
+    if D <= 0:
         raise BadDiscriminant("indefinite reduction needs positive discriminant")
+    s = isqrt(D)
     for _ in range(10000):
-        if is_reduced_indefinite(f):
-            return f
-        f = rho_step(f)
+        if 0 < b <= s and s + 1 - b <= 2 * abs(a) <= s + b:
+            return BQForm(a, b, c)
+        a, b, c = _rho(a, b, c, D, s)
     raise AssertionError("indefinite reduction failed to terminate")
 
 
@@ -408,12 +416,24 @@ def minkowski_bound(field) -> Fraction:
 
 
 def prime_form(D: int, p: int) -> BQForm:
-    """A form of discriminant D representing p: the class of a prime ideal
-    above p. Exists iff p is not inert.
+    """The form (p, b, (b^2 - D)/(4p)) of discriminant D with the least b in
+    [0, 2p): the class of a prime ideal above p. Exists iff p is not inert.
+
+    For an odd prime p not dividing D, b^2 = D (mod 4p) iff b = +-r
+    (mod p), r a root of D modulo p (arith._sqrt_mod_prime), and
+    b = D (mod 2); so b is the least of r, p - r, r + p, 2p - r with the
+    parity of D, and no root means p is inert. Any other p (2, a divisor
+    of D, a composite) walks b over [0, 2p).
     """
-    for b in range(0, 2 * p):
-        if (b * b - D) % (4 * p) == 0:
+    if p > 2 and D % p and factorize(p) == [(p, 1)]:
+        r = _sqrt_mod_prime(D % p, p)
+        if r is not None:
+            b = min(x for x in (r, p - r, r + p, 2 * p - r) if (x - D) % 2 == 0)
             return BQForm(p, b, (b * b - D) // (4 * p))
+    else:
+        for b in range(0, 2 * p):
+            if (b * b - D) % (4 * p) == 0:
+                return BQForm(p, b, (b * b - D) // (4 * p))
     raise ValueError(f"{p} is inert at discriminant {D}; no ideal of norm {p}")
 
 

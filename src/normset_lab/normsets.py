@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Collection
+from typing import Any
 
-from .arith import factorize, lower_divisors
+from .arith import divisors, factorize, lower_divisors
 from .class_groups import (
     ClassGroupData,
     class_group,
@@ -46,11 +46,12 @@ from .monoid_core import FactorMultiset, FactorSession, MonoidView
 from .quadratic import (
     QuadElem,
     QuadraticOrder,
+    _norm_set,
     _norm_solve,
-    _norm_table,
     divide_exact,
     elements_of_norm,
     exact_real_search_bound,
+    norm_table,
     order_fundamental_unit,
 )
 
@@ -95,21 +96,24 @@ class NormsetHandle:
     backend reports; alone, it searches only when its class test says yes.
 
     Besides its verdict memo, a handle holds the window tables that
-    members_up_to(B) fills for every 2 <= |m| <= B: always a norm table of
-    the element backend (quadratic._norm_table(order, -B, B, b_max), one
-    norm scan on either kind of order, b_max the exact search bound that
-    members_up_to solved at B for a real order), and, when the policy asks
-    the ideal backend, a class table (class_groups.ideal_class_table, one
-    sieve). The window's membership is read from them once, into the set of
-    members they certify, which is the norm table's own keys when there is
-    no class table; the normset view's member test reads that set
-    (_is_member), and every later query of such an m that would search at
-    the exact bound, or compute the classes of norm |m|, reads the tables,
-    with the same verdict. A real order whose exact search bound at B
-    passes the ceiling gets no tables and asks each m in turn. A single
-    exact real search outside a window solves (quadratic._norm_solve)
-    rather than scans. Memo, tables and set are caches only; concurrent
-    queries at worst recompute an entry.
+    members_up_to(B) fills for every 2 <= |m| <= B: always the element
+    backend's norm set (quadratic._norm_set(order, -B, B, b_max), the
+    integers one norm scan reaches on either kind of order, b_max the exact
+    search bound that members_up_to solved at B for a real order), and,
+    when the policy asks the ideal backend, a class table
+    (class_groups.ideal_class_table, one sieve of integer forms). The
+    window's membership is read from them once, into the set of members
+    they certify, which is the norm set itself when there is no class
+    table; the normset view's member test reads that set (_is_member). A
+    window holds no witness: a later query of such an m that would search
+    at the exact bound answers "no" from the norm set with no search, and
+    fetches a "yes" witness by the search a fresh handle runs; the classes
+    of norm |m| come from the class table. So every verdict is a fresh
+    handle's. A real order whose exact search bound at B passes the
+    ceiling gets no tables and asks each m in turn. A single exact real
+    search solves (quadratic._norm_solve) rather than scans. Memo, tables
+    and set are caches only; concurrent queries at worst recompute an
+    entry.
     """
 
     def __init__(self, order: QuadraticOrder, policy: str = "auto"):
@@ -118,9 +122,9 @@ class NormsetHandle:
         self.order = order
         self.policy = policy
         self._verdicts: dict = {}
-        self._norms: dict[int, QuadElem] = {}
+        self._norms: set[int] = set()
         self._classes: list[set[int] | None] | None = None  # ideal backend only
-        self._members: Collection[int] = ()  # the members the tables certify
+        self._members: set[int] = set()  # the members the tables certify
         self._norms_bound = 1  # the tables and members cover 2 <= |m| <= this
 
     # -- membership ---------------------------------------------------
@@ -150,14 +154,14 @@ class NormsetHandle:
         if abs(m) == 1:
             return _unit_verdict(order, m)
         policy = self._backend()
-        table, classes = ((self._norms, self._classes) if abs(m) <= self._norms_bound
+        norms, classes = ((self._norms, self._classes) if abs(m) <= self._norms_bound
                           else (None, None))
         if policy == "ideal_theoretic":
-            return _ideal_contains(order, m, bound, table, classes)
-        v1 = _form_search_contains(order, m, bound, table)
+            return _ideal_contains(order, m, bound, norms, classes)
+        v1 = _form_search_contains(order, m, bound, norms)
         if policy == "form_search":
             return v1
-        v2 = _ideal_contains(order, m, bound, table, classes, v1)
+        v2 = _ideal_contains(order, m, bound, norms, classes, v1)
         if v1.answer != "unknown" and v1.answer != v2.answer:
             raise _disagreement(self, m, v1.answer, v2.answer)
         best = v1 if v1.answer != "unknown" else v2
@@ -172,9 +176,8 @@ class NormsetHandle:
         The window is read from the member set that the policy's tables
         certify when they are filled up to size_bound; under "both" the two
         tables must agree on every m, and a "yes" of the ideal backend must
-        find its witness in the norm table. A real order whose exact search
-        bound at size_bound passes the ceiling asks contains(m) for each m
-        instead.
+        be in the norm set. A real order whose exact search bound at
+        size_bound passes the ceiling asks contains(m) for each m instead.
         """
         order = self.order
         signs = (1,) if order.is_imaginary else (1, -1)
@@ -185,16 +188,15 @@ class NormsetHandle:
                 return [m for m in window if self.contains(m).answer == "yes"]
             if self._backend() != "form_search":
                 self._classes = ideal_class_table(_ideal_group(order), size_bound)
-            self._norms = _norm_table(order, -size_bound, size_bound, b_max)
+            self._norms = _norm_set(order, -size_bound, size_bound, b_max)
             self._members = self._certify(window)
             self._norms_bound = size_bound
         return [m for m in window if m in self._members]
 
-    def _certify(self, window: list[int]) -> Collection[int]:
+    def _certify(self, window: list[int]) -> set[int]:
         """The members of the window by the tables just filled: the norm
-        table's keys, read from the table itself, or the ideal backend's,
-        each of which must find its witness in the norm table and, under
-        "both", agree with it.
+        set itself, or the ideal backend's, each of which must be in the
+        norm set and, under "both", agree with it.
         """
         if self._classes is None:
             return self._norms
@@ -241,14 +243,15 @@ def _unit_verdict(order: QuadraticOrder, m: int) -> Verdict:
 
 
 def _form_search_contains(order: QuadraticOrder, m: int, bound: int | None,
-                          table: dict | None) -> Verdict:
+                          norms: set[int] | None) -> Verdict:
     """The element search under the bound rule. An imaginary search is
     always exact. A real search runs to |b| <= min(bound, exact bound), to
     the exact bound when no bound is given, and is refused with NeedsBound
-    when that passes the ceiling. A search at the exact bound reads the
-    entry for m of the window's norm table when it covers m, else the first
-    of _norm_solve (real) or norm_table(order, m, m) (imaginary), and
-    answers yes or no; a shorter one that finds nothing answers unknown.
+    when that passes the ceiling. A search at the exact bound answers yes
+    or no: "no" with no search when the window's norm set covers m and
+    lacks it, else by the first of _norm_solve (real) or
+    norm_table(order, m, m) (imaginary). A shorter one that finds nothing
+    answers unknown.
     """
     exact_b = None if order.is_imaginary else exact_real_search_bound(order, m)
     sb = exact_b if bound is None or exact_b is None else min(bound, exact_b)
@@ -258,11 +261,13 @@ def _form_search_contains(order: QuadraticOrder, m: int, bound: int | None,
         raise NeedsBound(
             f"exact search for norm {m} in {order} needs |b| <= {exact_b}; {hint}", bound)
     if sb == exact_b:
-        if table is None and exact_b is not None:
+        if norms is not None and m not in norms:
+            wit = None
+        elif exact_b is not None:
             sols = _norm_solve(order, m)
             wit = QuadElem(order, *sols[0]) if sols else None
         else:
-            wit = (_norm_table(order, m, m, None) if table is None else table).get(m)
+            wit = norm_table(order, m, m).get(m)
         return Verdict("no" if wit is None else "yes", wit, sb, "form_search", m)
     sols = elements_of_norm(order, m, search_bound=sb)
     if sols:
@@ -306,7 +311,7 @@ def _is_ideal_norm(cg: ClassGroupData, m: int, classes: list | None) -> bool:
 
 
 def _ideal_contains(order: QuadraticOrder, m: int, bound: int | None,
-                    table: dict | None, classes: list | None,
+                    norms: set[int] | None, classes: list | None,
                     search: Verdict | None = None) -> Verdict:
     """The class test, and for a "yes" the witness of the element search:
     `search` when the caller already ran it, else a search run here. The
@@ -316,7 +321,7 @@ def _ideal_contains(order: QuadraticOrder, m: int, bound: int | None,
     if not _is_ideal_norm(_ideal_group(order), m, classes):
         return Verdict("no", None, None, "ideal_theoretic", m)
     if search is None:
-        search = _form_search_contains(order, m, bound, table)
+        search = _form_search_contains(order, m, bound, norms)
     if search.answer == "no":
         raise _uncertified(order, m)
     if search.answer == "unknown":
@@ -491,18 +496,22 @@ def is_saturated(order: QuadraticOrder) -> bool:
 def is_strictly_saturated_window(order: QuadraticOrder, B: int) -> Verdict:
     """Search members x | y (integer divisibility, |x|,|y| <= B) whose
     quotient y/x leaves the normset, i.e. that the normset view does not
-    divide. First failure wins; a pass is only evidence up to B.
+    divide. First failure wins, in the window's order: y ascending, and
+    for each y its divisors x = +-k, k | |y| ascending, of index <= y's. A
+    pass is only evidence up to B.
     """
     if B < 4:
         raise ValueError("window bound must be >= 4")
     ns = NormsetHandle(order)
     view = normset_monoid_view(ns)
     members = ns.members_up_to(B)
+    index = {m: i for i, m in enumerate(members)}
     for yi, y in enumerate(members):
-        for x in members[: yi + 1]:
-            if y % x == 0 and view.divide(x, y) is None:
-                return Verdict("no", (x, y, y // x), B, "window",
-                               ("strictly_saturated", B))
+        for k in divisors(y):
+            for x in (k, -k):
+                if x in index and index[x] <= yi and view.divide(x, y) is None:
+                    return Verdict("no", (x, y, y // x), B, "window",
+                                   ("strictly_saturated", B))
     return Verdict("yes", None, B, "window", ("strictly_saturated", B))
 
 

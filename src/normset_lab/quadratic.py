@@ -18,19 +18,21 @@ walks t^2 = 4m + D*b^2, and emb(x) >= |conj(x)| iff t >= 0 and b >= 0.
 
 Everything is exact integer arithmetic; there is not a float in sight.
 Real orders get elements_of_norm with unit reduction, and fundamental units
-via the continued fraction of w. Norm tables, imaginary searches and bounded
-real searches run one scan, _norm_scan, over the roots t >= 0 of
+via the continued fraction of w. Norm tables, norm sets, imaginary searches
+and bounded real searches run one scan, _norm_scan, over the roots t >= 0 of
 t^2 = 4N + D*b^2 for N in a range and b in a range; the solutions with t < 0
 are the negatives. norm_table(order, lo, hi) keeps, for every norm of the
 range, the solution a single exact search for that norm returns: on a real
 order it walks only the integer fundamental domain of canonical_associate,
-testing signs instead of sliding by units. A normset window reads it beside
-the ideal backend's class sieve (class_groups.ideal_class_table). A single
-exact real search solves instead (_norm_solve): N(x) is the principal form
-(1, p, -q), so each primitive solution comes from a root beta of
-beta^2 = D (mod 4|m|) whose form (m, beta, .) reduces, by the rho-step _rho
-that class_groups also reads, to the principal form. The list is the one
-the scan of the fundamental domain would give.
+testing signs instead of sliding by units. A normset window holds only the
+set of norms the scan reaches (_norm_set), beside the ideal backend's class
+sieve (class_groups.ideal_class_table), and fetches a member's witness by a
+single search when a query asks for it. A single exact real search solves
+instead (_norm_solve): N(x) is the principal form (1, p, -q), so each
+primitive solution comes from a root beta of beta^2 = D (mod 4|m|) whose
+form (m, beta, .) reduces, by the rho-step _rho that class_groups also
+reads, to the principal form. The list is the one the scan of the
+fundamental domain would give.
 
 Element factorization, for imaginary orders only, runs on an integer kernel
 (_element_kernel) over canonical (a, b) int pairs, with the integer helpers
@@ -444,24 +446,16 @@ def norm_table(order: QuadraticOrder, lo: int, hi: int) -> dict[int, QuadElem]:
     share their canonical associate, so the lesser key of the two stands for
     both. Real: the least element under _sol_key in the fundamental domain
     (_domain_roots) with b <= exact_real_search_bound(order, max(|lo|, |hi|)),
-    the first solution elements_of_norm returns at the exact bound.
-    """
-    b_max = (None if order.is_imaginary
-             else exact_real_search_bound(order, max(abs(lo), abs(hi))))
-    return _norm_table(order, lo, hi, b_max)
-
-
-def _norm_table(order: QuadraticOrder, lo: int, hi: int,
-                b_max: int | None) -> dict[int, QuadElem]:
-    """norm_table(order, lo, hi) with its real b-bound b_max handed in, for a
-    caller that already holds it: exact_real_search_bound(order,
-    max(|lo|, |hi|)) on a real order, None on an imaginary one.
+    the first solution elements_of_norm returns at the exact bound. A single
+    imaginary search reads norm_table(order, m, m); a window needs no
+    witness and reads _norm_set.
     """
     p, imag = order.p, order.is_imaginary
     if imag:
         roots = _norm_scan(order, lo, hi, _imag_bs(order, hi))
     else:
-        roots = _domain_roots(order, lo, hi, b_max)
+        roots = _domain_roots(order, lo, hi,
+                              exact_real_search_bound(order, max(abs(lo), abs(hi))))
     best: dict[int, tuple] = {}
     for m, t, b in roots:
         if -2 < m < 2:
@@ -475,6 +469,21 @@ def _norm_table(order: QuadraticOrder, lo: int, hi: int,
     if imag:
         return {m: canonical_associate(QuadElem(order, a, b)) for m, (_, a, b) in best.items()}
     return {m: QuadElem(order, a, b) for m, (_, a, b) in best.items()}
+
+
+def _norm_set(order: QuadraticOrder, lo: int, hi: int, b_max: int | None) -> set[int]:
+    """The keys of norm_table(order, lo, hi), from the scan alone: every
+    norm m of the order with lo <= m <= hi and |m| >= 2. b_max is
+    exact_real_search_bound(order, max(|lo|, |hi|)) on a real order, which
+    the caller holds, and None on an imaginary one, whose bound comes from
+    hi. A norm depends on b only through b^2, so the scan walks
+    0 <= b <= b_max. It needs no domain filter: every element it meets has
+    its norm, and every norm of the range has an element of the fundamental
+    domain there.
+    """
+    if b_max is None:
+        b_max = _imag_bs(order, hi).stop - 1
+    return {m for m, _, _ in _norm_scan(order, lo, hi, range(b_max + 1)) if not -2 < m < 2}
 
 
 def _rho(a: int, b: int, c: int, D: int, s: int) -> tuple[int, int, int]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normset_lab import (
@@ -33,7 +33,7 @@ from normset_lab import (
     reduced_indefinite_forms,
     splitting_type,
 )
-from normset_lab.arith import is_squarefree
+from normset_lab.arith import is_squarefree, kronecker
 from normset_lab.class_groups import (
     ideal_class_table,
     is_reduced_definite,
@@ -494,6 +494,53 @@ def test_splitting_brute_oracle():
                 assert kind == "split"
             else:
                 assert kind == "inert"
+
+
+PRIMES_BELOW_1000 = [p for p in range(2, 1000) if all(p % q for q in range(2, isqrt(p) + 1))]
+
+
+def _least_b_form(D, p):
+    """The form (p, b, c) of discriminant D with the least b in [0, 2p), by
+    walking every b, or None.
+    """
+    for b in range(2 * p):
+        if (b * b - D) % (4 * p) == 0:
+            return BQForm(p, b, (b * b - D) // (4 * p))
+    return None
+
+
+# fundamental and not, both signs; ramified primes are the divisors of D
+@pytest.mark.parametrize("D", [-3, -4, -8, -23, -15, -163, -12, -27, -48, -75, -99,
+                               5, 8, 12, 13, 17, 40, 136, 20, 45, 72, 125, 1001 * 4])
+def test_prime_form_is_the_least_b_walk(D):
+    # composite p take prime_form's own walk
+    for p in PRIMES_BELOW_1000 + [1, 4, 6, 9, 15, 21, 25, 35, 49, 91, 221]:
+        want = _least_b_form(D, p)
+        if p in PRIMES_BELOW_1000:
+            assert (want is None) == (kronecker(D, p) == -1), (D, p)
+        if want is None:
+            with pytest.raises(ValueError, match="inert"):
+                prime_form(D, p)
+        else:
+            assert prime_form(D, p) == want, (D, p)
+
+
+def _rho_walk(f):
+    """The reduction of f by BQForm rho-steps, one form per step."""
+    for _ in range(10000):
+        if is_reduced_indefinite(f):
+            return f
+        f = rho_step(f)
+    raise AssertionError("no reduced form")
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60))
+def test_reduce_indefinite_equals_the_form_rho_walk(a, b, c):
+    D = b * b - 4 * a * c
+    assume(D > 0 and isqrt(D) ** 2 != D)
+    f = BQForm(a, b, c)
+    assert reduce_indefinite(f) == _rho_walk(f)
 
 
 def test_prime_form_validity():

@@ -10,6 +10,7 @@ import json
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from normset_lab import (
     NeedsBound,
@@ -32,7 +33,7 @@ import normset_lab.quadratic as quadratic
 from normset_lab.arith import divisors, is_squarefree
 from normset_lab.cli import main
 from normset_lab.normsets import _REAL_SEARCH_CEILING, Verdict
-from normset_lab.quadratic import exact_real_search_bound, order_fundamental_unit
+from normset_lab.quadratic import exact_real_search_bound, norm_table, order_fundamental_unit
 
 
 def _sorted_sets(facs):
@@ -211,6 +212,18 @@ def test_norm_table_verdicts_equal_fresh_handle(policy, orders):
 
 
 @pytest.mark.parametrize("policy,orders", POLICY_ORDERS)
+def test_window_verdicts_equal_fresh_handle_across_the_window(policy, orders):
+    # the window keeps no witness: a "no" reads the norm set, a "yes" fetches
+    # its witness by a fresh handle's search, with the same bound_used
+    for d, n in orders:
+        order = order_of(d, n)
+        ns = NormsetHandle(order, policy=policy)
+        ns.members_up_to(120)
+        for m in (s * k for k in range(2, 121) for s in (1, -1)):
+            assert ns.contains(m) == NormsetHandle(order, policy=policy).contains(m), (d, n, m)
+
+
+@pytest.mark.parametrize("policy,orders", POLICY_ORDERS)
 def test_window_member_set_reads_as_contains(policy, orders):
     # the view's member test reads the set members_up_to certified; a fresh
     # handle answers each m by its own search or class test
@@ -243,6 +256,18 @@ WINDOW_ORDERS = [(-1, 1), (-3, 1), (-5, 1), (-23, 1), (-3, 2), (-5, 3),
                  (2, 1), (5, 1), (10, 1), (15, 1), (34, 1), (13, 2), (2, 3), (6, 3)]
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(2, 500))
+@example(2)
+@example(500)
+def test_window_norm_set_is_the_norm_tables_keys(B):
+    for d, n in WINDOW_ORDERS:
+        order = order_of(d, n)
+        ns = NormsetHandle(order, policy="form_search")
+        members = ns.members_up_to(B)
+        assert set(members) == ns._norms == set(norm_table(order, -B, B)), (d, n, B)
+
+
 @pytest.mark.parametrize("policy", ["auto", "form_search", "ideal_theoretic", "both"])
 def test_members_up_to_matches_per_m_loop(policy):
     for d, n in WINDOW_ORDERS:
@@ -271,15 +296,15 @@ def test_ideal_backend_window_refuses_non_maximal_orders(d, n):
 
 @pytest.mark.parametrize("d,builder,dropped,error", [
     # 6 = N(1 + sqrt(-5)) and -9 = N(5 + sqrt(34)), each dropped from one table
-    (-5, "norm_table", 6, "ideal backend certified norm 6 "),
-    (34, "norm_table", -9, "ideal backend certified norm -9 "),
+    (-5, "norm_set", 6, "ideal backend certified norm 6 "),
+    (34, "norm_set", -9, "ideal backend certified norm -9 "),
     (-5, "ideal_class_table", 6, "backend disagreement at m=6 "),
     (34, "ideal_class_table", -9, "backend disagreement at m=-9 "),
 ])
 def test_policy_both_cross_checks_the_whole_window(monkeypatch, d, builder,
                                                    dropped, error):
-    # the window builds its norm table through _norm_table, its bound in hand
-    name = "_norm_table" if builder == "norm_table" else builder
+    # the window builds its norm set through _norm_set, its bound in hand
+    name = "_norm_set" if builder == "norm_set" else builder
     build = getattr(normsets, name)
 
     def doctored(arg, *bounds):
@@ -288,7 +313,7 @@ def test_policy_both_cross_checks_the_whole_window(monkeypatch, d, builder,
             table[abs(dropped)] -= {arg.identity_index if dropped > 0
                                     else arg.neg_principal_index}
         else:
-            del table[dropped]
+            table.remove(dropped)
         return table
 
     monkeypatch.setattr(normsets, name, doctored)
@@ -310,10 +335,11 @@ def test_each_query_cross_checks_the_class_test(monkeypatch, policy, m, error):
 
 
 def test_windows_make_no_per_norm_searches(monkeypatch):
-    # a search for one norm runs elements_of_norm or _norm_table(order, m, m,
-    # exact bound), so the only table builds are the two windows', each with
-    # the bound it holds
-    calls = {"elements_of_norm": [], "ideal_class_options": [], "_norm_table": []}
+    # a search for one norm runs elements_of_norm, norm_table(order, m, m) or
+    # _norm_solve, so the only builds are the two windows' norm sets, each
+    # with the bound it holds
+    calls = {"elements_of_norm": [], "ideal_class_options": [], "_norm_set": [],
+             "norm_table": [], "_norm_solve": []}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(normsets, name), **kwargs):
             calls[_name].append(args[1:])
@@ -321,8 +347,9 @@ def test_windows_make_no_per_norm_searches(monkeypatch):
         monkeypatch.setattr(normsets, name, counted)
     assert irreducibles_up_to(normset_of(order_of(-23)), 400)
     assert irreducibles_up_to(normset_of(order_of(34)), 300)
-    assert calls == {"elements_of_norm": [], "ideal_class_options": [], "_norm_table": [
-        (-400, 400, None), (-300, 300, exact_real_search_bound(order_of(34), 300))]}
+    assert calls == {"elements_of_norm": [], "ideal_class_options": [], "_norm_set": [
+        (-400, 400, None), (-300, 300, exact_real_search_bound(order_of(34), 300))],
+        "norm_table": [], "_norm_solve": []}
 
 
 def test_window_solves_its_exact_bound_once(monkeypatch):
@@ -377,7 +404,7 @@ def test_policy_both_searches_once_per_query(monkeypatch):
     # the ideal backend reads the element search's verdict instead of
     # running the same search again for its witness
     searches = []
-    for name in ("elements_of_norm", "_norm_table", "_norm_solve"):
+    for name in ("elements_of_norm", "norm_table", "_norm_solve"):
         def counted(*args, _fn=getattr(normsets, name), **kwargs):
             searches.append(args[1:])
             return _fn(*args, **kwargs)
